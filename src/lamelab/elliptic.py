@@ -169,6 +169,23 @@ def lattice_distance(z: complex, ctx: LatticeContext) -> float:
     return best
 
 
+# corners (dr, ds) of the reduced cell, as lattice_distance visits them
+_CORNER_R = np.array([0.0, 0.0, 1.0, 1.0])
+_CORNER_S = np.array([0.0, 1.0, 0.0, 1.0])
+
+
+def lattice_distance_many(z: np.ndarray, ctx: LatticeContext) -> np.ndarray:
+    """Vectorized :func:`lattice_distance`, rounding exactly as it does."""
+    z = np.asarray(z, dtype=complex)
+    s = z.imag / ctx.tau.imag
+    r = z.real - s * ctx.tau.real
+    r = (r - np.floor(r))[..., None] - _CORNER_R
+    s = (s - np.floor(s))[..., None] - _CORNER_S
+    w = r + s * ctx.tau
+    # hypot rounds as the scalar abs() does; numpy's complex abs may not
+    return np.hypot(w.real, w.imag).min(axis=-1)
+
+
 def _reduce(z: complex, ctx: LatticeContext):
     """Split z = z0 + m + n*tau with the coordinates of z0 in [0, 1)."""
     r, s = rs_coordinates(z, ctx)
@@ -247,6 +264,19 @@ def wp_many(z: np.ndarray, ctx: LatticeContext) -> tuple[np.ndarray, np.ndarray]
     return -ctx.eta1 - du, -ddu
 
 
+def wp_zeta_many(z: np.ndarray, ctx: LatticeContext) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (wp, zeta) from one theta block (no clearance check)."""
+    z = np.asarray(z, dtype=complex)
+    s = z.imag / ctx.tau.imag
+    r = z.real - s * ctx.tau.real
+    m, n = np.floor(r), np.floor(s)
+    z0 = (r - m) + (s - n) * ctx.tau
+    t0, t1, t2, _ = _theta_block_arrays(z0, ctx._freq, ctx._coef)
+    u = t1 / t0
+    wp_val = -ctx.eta1 - (t2 / t0 - u * u)
+    return wp_val, ctx.eta1 * z0 + u + m * ctx.eta1 + n * ctx.eta2
+
+
 def eisenstein(tau: complex, terms: int | None = None) -> tuple[complex, complex]:
     """g2 = 60*E4(lattice), g3 = 140*E6(lattice) by q-expansion.
 
@@ -272,10 +302,6 @@ def eisenstein(tau: complex, terms: int | None = None) -> tuple[complex, complex
     g2 = (4.0 * math.pi**4 / 3.0) * e4
     g3 = (8.0 * math.pi**6 / 27.0) * e6
     return complex(g2), complex(g3)
-
-
-def half_periods(ctx: LatticeContext) -> tuple[complex, complex, complex]:
-    return 0.5, ctx.tau / 2.0, (1.0 + ctx.tau) / 2.0
 
 
 def wp_inverse(x: complex, ctx: LatticeContext, sign_hint: int = +1,

@@ -1,10 +1,11 @@
 """Numerical monodromy of generalized Lame equations on the torus.
 
 The second-order equation w'' = I(z) w is integrated as a first-order
-system along polylines; straight period segments acquire counterclockwise
-semicircular detours around any singular translate inside the corridor,
-with the singularity passed on the left, which fixes the homotopy classes
-of the two period loops.  Since sum A_i = 0 the potential is elliptic and
+system along polylines and, for local certificates, smooth circles;
+straight period segments acquire counterclockwise semicircular detours
+around any singular translate inside the corridor, with the singularity
+passed on the left, which fixes the homotopy classes of the two period
+loops.  Since sum A_i = 0 the potential is elliptic and
 the transported frames identify directly, so the period transports are
 the monodromy matrices S_1, S_2.
 """
@@ -17,14 +18,15 @@ import math
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.integrate import solve_ivp
 
 from .elliptic import (
     POLE_CLEARANCE,
     LatticeContext,
     TorusPoint,
     lattice_distance,
+    lattice_distance_many,
     weierstrass,
+    wp_zeta_many,
     zeta_w,
 )
 from .errors import (
@@ -39,6 +41,14 @@ from .errors import (
 from .polysys import LameParams, SourceDivisor
 
 CLEARANCE_RADIUS = 1e-2
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first transport:
+    scipy is most of the package's import time and only this module
+    integrates."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass
@@ -80,15 +90,13 @@ def potential(z: complex, L: SourceDivisor, params: LameParams,
     with eta_i = l_i / 2."""
     if len(params.A) != L.N:
         raise ValueError(f"expected {L.N} accessory parameters, got {len(params.A)}")
-    total = complex(params.B)
-    for p, w, a in zip(L.points, L.weights, params.A):
-        d = z - p.z
-        if lattice_distance(d, ctx) < clearance:
-            raise PoleProximity(f"z within clearance of source at {p.z}")
-        eta = w / 2.0
-        pv, _ = weierstrass(d, ctx)
-        total += eta * (eta + 1.0) * pv + a * zeta_w(d, ctx)
-    return total
+    d = z - np.array([p.z for p in L.points])
+    near = lattice_distance_many(d, ctx) < clearance
+    if near.any():
+        raise PoleProximity(f"z within clearance of source at {L.points[near.argmax()].z}")
+    eta = np.array(L.weights) / 2.0
+    pv, zv = wp_zeta_many(d, ctx)
+    return complex(params.B) + complex(eta * (eta + 1.0) @ pv + np.array(params.A) @ zv)
 
 
 def _singular_translates(L: SourceDivisor, ctx: LatticeContext,
@@ -143,6 +151,36 @@ def path_with_detours(z0: complex, omega: complex, L: SourceDivisor,
     return path
 
 
+def _require_path_clear(zs: np.ndarray, L: SourceDivisor, ctx: LatticeContext,
+                        clearance: float) -> None:
+    """Raise PathTooClose if a sample point of the path is within
+    ``clearance`` of a source translate."""
+    src = np.array([p.z for p in L.points])
+    dist = lattice_distance_many(np.subtract.outer(zs, src), ctx).min(axis=1)
+    close = np.flatnonzero(dist < clearance)
+    if close.size:
+        k = close[0]
+        raise PathTooClose(
+            f"path point {complex(zs[k])} is {dist[k]:.2e} from a singular translate")
+
+
+def _integrate(curve, t_end: float, Y: np.ndarray, L: SourceDivisor,
+               params: LameParams, ctx: LatticeContext, clearance: float,
+               rtol: float, atol: float) -> np.ndarray:
+    """Carry the frame Y = [[w], [w']] (2x2) along z = curve(t), t in
+    [0, t_end]; ``curve(t)`` returns (z, dz/dt)."""
+    def rhs(t, y):
+        z, dz = curve(t)
+        Iv = potential(z, L, params, ctx, clearance=clearance)
+        return dz * np.array((y[2], y[3], Iv * y[0], Iv * y[1]))
+
+    sol = solve_ivp(rhs, (0.0, t_end), Y.reshape(-1), method="DOP853",
+                    rtol=rtol, atol=atol)
+    if not sol.success:
+        raise StepUnderflow(f"integrator failed from {curve(0.0)[0]}: {sol.message}")
+    return sol.y[:, -1].reshape(2, 2)
+
+
 def transport(path, L: SourceDivisor, params: LameParams, ctx: LatticeContext,
               rtol: float = 1e-12, atol: float = 1e-12,
               clearance: float | None = None) -> np.ndarray:
@@ -154,29 +192,15 @@ def transport(path, L: SourceDivisor, params: LameParams, ctx: LatticeContext,
     """
     if clearance is None:
         clearance = 0.55 * CLEARANCE_RADIUS
-    pts = [complex(p) for p in path]
-    for za, zb in zip(pts[:-1], pts[1:]):
-        for frac in np.linspace(0.0, 1.0, 9):
-            zm = za + frac * (zb - za)
-            dmin = min(lattice_distance(zm - p.z, ctx) for p in L.points)
-            if dmin < clearance:
-                raise PathTooClose(
-                    f"path point {zm} is {dmin:.2e} from a singular translate")
+    pts = np.array([complex(p) for p in path])
+    fracs = np.linspace(0.0, 1.0, 9)
+    _require_path_clear((pts[:-1, None] + fracs * np.diff(pts)[:, None]).ravel(),
+                        L, ctx, clearance)
     Y = np.eye(2, dtype=complex)
-    for za, zb in zip(pts[:-1], pts[1:]):
+    for za, zb in zip(pts[:-1].tolist(), pts[1:].tolist()):
         dz = zb - za
-
-        def rhs(t, y):
-            z = za + t * dz
-            Iv = potential(z, L, params, ctx, clearance=clearance * 0.5)
-            y = y.reshape(2, 2)
-            return (dz * np.vstack([y[1], Iv * y[0]])).reshape(-1)
-
-        sol = solve_ivp(rhs, (0.0, 1.0), Y.reshape(-1), method="DOP853",
-                        rtol=rtol, atol=atol)
-        if not sol.success:
-            raise StepUnderflow(f"integrator failed on segment {za} -> {zb}: {sol.message}")
-        Y = sol.y[:, -1].reshape(2, 2)
+        Y = _integrate(lambda t, za=za, dz=dz: (za + t * dz, dz), 1.0, Y,
+                       L, params, ctx, 0.5 * clearance, rtol, atol)
     return Y
 
 
@@ -185,23 +209,37 @@ def wronskian_drift(M: np.ndarray) -> float:
 
 
 def choose_base_point(L: SourceDivisor, ctx: LatticeContext) -> complex:
-    """A base point keeping both period corridors clear of the sources."""
+    """A base point keeping both period corridors clear of the sources.
+
+    The first grid point, in r-major order, that maximizes the distance
+    of the base and of both period segments from the source translates
+    within 0.3 of the segment's bounding box.
+    """
     tau = ctx.tau
-    best, best_d = None, -1.0
-    for r in np.linspace(0.04, 0.96, 23):
-        for s in np.linspace(0.04, 0.96, 23):
-            z0 = r + s * tau
-            d = math.inf
-            for omega in (1.0, tau):
-                u = omega / abs(omega)
-                for q in _singular_translates(L, ctx, z0, z0 + omega, 0.3):
-                    t = min(max(((q - z0) / u).real, 0.0), abs(omega))
-                    d = min(d, abs(z0 + t * u - q))
-            dz = min(lattice_distance(z0 - p.z, ctx) for p in L.points)
-            d = min(d, dz)
-            if d > best_d:
-                best_d, best = d, z0
-    return best
+    grid = np.linspace(0.04, 0.96, 23)
+    z0 = (grid[:, None] + grid[None, :] * tau).ravel()
+    m, n = (a.ravel() for a in np.meshgrid(np.arange(-3, 4), np.arange(-3, 4)))
+    d = np.full(z0.shape, math.inf)
+    for omega in (1.0, tau):
+        u = omega / abs(omega)
+        z1 = z0 + omega
+        lo_re = np.minimum(z0.real, z1.real)[:, None] - 0.3
+        hi_re = np.maximum(z0.real, z1.real)[:, None] + 0.3
+        lo_im = np.minimum(z0.imag, z1.imag)[:, None] - 0.3
+        hi_im = np.maximum(z0.imag, z1.imag)[:, None] + 0.3
+        for p in L.points:
+            q = p.z + m + n * tau
+            inside = ((lo_re <= q.real) & (q.real <= hi_re)
+                      & (lo_im <= q.imag) & (q.imag <= hi_im))
+            # translates in no box cannot count: dropping them saves memory
+            keep = inside.any(axis=0)
+            q, inside = q[keep], inside[:, keep]
+            t = np.clip(((q - z0[:, None]) / u).real, 0.0, abs(omega))
+            w = z0[:, None] + t * u - q
+            d = np.minimum(d, np.where(inside, np.hypot(w.real, w.imag), math.inf).min(axis=1))
+    for p in L.points:
+        d = np.minimum(d, lattice_distance_many(z0 - p.z, ctx))
+    return z0[int(np.argmax(d))]
 
 
 def monodromy_pair(L: SourceDivisor, params: LameParams, ctx: LatticeContext,
@@ -226,9 +264,9 @@ def monodromy_pair(L: SourceDivisor, params: LameParams, ctx: LatticeContext,
 
 
 def local_monodromy(p_i, L: SourceDivisor, params: LameParams,
-                    ctx: LatticeContext, radius: float | None = None,
-                    nodes: int = 48) -> np.ndarray:
-    """Transport around a counterclockwise circle about the source p_i.
+                    ctx: LatticeContext, radius: float | None = None) -> np.ndarray:
+    """Transport around the counterclockwise circle
+    z(theta) = p_i + radius e^{i theta}, integrated as one smooth path.
 
     For log-free parameters this must equal (-1)^{l_i} I, the numerical
     certificate that no logarithmic branch is present.
@@ -240,9 +278,16 @@ def local_monodromy(p_i, L: SourceDivisor, params: LameParams,
             d = lattice_distance(zc - p.z, ctx)
             if d > 1e-9:
                 radius = min(radius, 0.4 * d)
-    circle = [zc + radius * cmath.exp(2j * math.pi * k / nodes)
-              for k in range(nodes + 1)]
-    return transport(circle, L, params, ctx, clearance=0.5 * radius)
+    clearance = 0.5 * radius
+    theta = np.linspace(0.0, 2.0 * math.pi, 385)
+    _require_path_clear(zc + radius * np.exp(1j * theta), L, ctx, clearance)
+
+    def circle(t):
+        e = radius * cmath.exp(1j * t)
+        return zc + e, 1j * e
+
+    return _integrate(circle, 2.0 * math.pi, np.eye(2, dtype=complex), L, params, ctx,
+                      0.5 * clearance, rtol=1e-12, atol=1e-12)
 
 
 def classify_projective(mp: MonodromyPair, tol: float = 1e-6) -> str:

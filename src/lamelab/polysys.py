@@ -248,13 +248,6 @@ class MultiPoly:
                 out.dweights[e] = 0
         return out
 
-    def map_coefficients(self, f):
-        out = MultiPoly(self.nvars)
-        for e, c in self.terms.items():
-            out.terms[e] = f(c)
-            out.dweights[e] = self.dweights[e]
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly) or self.nvars != other.nvars:
             return NotImplemented

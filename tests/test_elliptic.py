@@ -15,7 +15,14 @@ from lamelab import (
     wp_inverse,
     zeta_w,
 )
-from lamelab.elliptic import TorusPoint, lattice_distance, wp, wp_prime
+from lamelab.elliptic import (
+    TorusPoint,
+    lattice_distance,
+    lattice_distance_many,
+    wp,
+    wp_prime,
+    wp_zeta_many,
+)
 from lamelab.errors import PoleProximity
 
 from conftest import random_clear_rs, random_tau
@@ -256,3 +263,25 @@ def test_zeta_sum_square_at_sixth_period_points(ctx_rho):
 def test_zeta_rejects_pole(ctx):
     with pytest.raises(PoleProximity):
         zeta_w(1.0 + ctx.tau + 1e-6, ctx)
+
+
+def test_wp_zeta_many_matches_scalar_kernels(rng):
+    for tau in (0.22 + 1.31j, 1.2j, -0.4 + 0.7j):
+        c = make_context(tau)
+        z = rng.uniform(-2.5, 2.5, 60) + rng.uniform(-2.5, 2.5, 60) * c.tau
+        z = z[[lattice_distance(v, c) > 0.02 for v in z]]
+        pv, zv = wp_zeta_many(z, c)
+        for v, p, zt in zip(z, pv, zv):
+            p_ref, zt_ref = weierstrass(v, c)[0], zeta_w(v, c)
+            assert abs(p - p_ref) < 1e-12 * (1 + abs(p_ref))
+            assert abs(zt - zt_ref) < 1e-12 * (1 + abs(zt_ref))
+
+
+def test_lattice_distance_many_equals_scalar(rng):
+    for tau in (0.22 + 1.31j, 1.2j, 0.3 + 5.0j):
+        c = make_context(tau)
+        z = rng.uniform(-3, 3, 400) + 1j * rng.uniform(-3, 3, 400)
+        z[:3] = (0.0, 1.0 + c.tau, -2.0 + 3.0 * c.tau)
+        want = [lattice_distance(complex(v), c) for v in z]
+        assert lattice_distance_many(z, c).tolist() == want
+        assert lattice_distance_many(z.reshape(20, 20), c).shape == (20, 20)

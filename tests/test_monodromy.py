@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from lamelab import (
     u_density,
     unitarizable,
     weierstrass,
+    zeta_w,
 )
 from lamelab.curves import hermite_halphen_logderiv
 from lamelab.errors import (
@@ -30,7 +34,9 @@ from lamelab.errors import (
     HalfPeriodInput,
     NotDiagonalizable,
     PathTooClose,
+    PoleProximity,
 )
+from lamelab.elliptic import POLE_CLEARANCE, lattice_distance
 from lamelab.monodromy import (
     MonodromyPair,
     choose_base_point,
@@ -83,6 +89,35 @@ def test_potential_classical_lame_shape(ctx):
     assert abs(potential(z, L, params, ctx) - expect) < 1e-12 * (1 + abs(expect))
 
 
+def _potential_reference(z, L, params, ctx):
+    total = complex(params.B)
+    for p, w, a in zip(L.points, L.weights, params.A):
+        eta = w / 2.0
+        total += eta * (eta + 1.0) * weierstrass(z - p.z, ctx)[0] + a * zeta_w(z - p.z, ctx)
+    return total
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (3, 1, 1), (1, 1, 1, 1, 1)])
+def test_potential_matches_per_source_sum(ctx, rng, weights):
+    pts = GENERIC_POINTS + [(0.31, 0.83), (0.67, 0.12)]
+    L = SourceDivisor.from_rs(pts[:len(weights)], weights, ctx)
+    A = list(rng.normal(size=L.N) + 1j * rng.normal(size=L.N))
+    params = LameParams(A=A, B=complex(rng.normal(), rng.normal()))
+    for _ in range(40):
+        z = rng.uniform(-1.5, 2.5) + rng.uniform(-1.5, 2.5) * ctx.tau
+        if min(lattice_distance(z - p.z, ctx) for p in L.points) < 0.02:
+            continue
+        want = _potential_reference(z, L, params, ctx)
+        assert abs(potential(z, L, params, ctx) - want) < 1e-12 * abs(want)
+
+
+def test_potential_raises_inside_clearance(ctx, L111, roots_l3):
+    p = L111.points[1].z
+    for z in (p, p + 0.5 * POLE_CLEARANCE * cmath.exp(0.3j), p - 2.0 + ctx.tau + 1e-4j):
+        with pytest.raises(PoleProximity):
+            potential(z, L111, roots_l3[0], ctx)
+
+
 def test_potential_leading_singularity(ctx, L111, roots_l3):
     # Laurent coefficient of (z - p_i)^(-2) is eta_i (eta_i + 1) = 3/4
     params = roots_l3[0]
@@ -125,6 +160,56 @@ def test_transport_rejects_close_paths(ctx, L111, roots_l3):
         transport([p - 0.002, p + 0.002], L111, roots_l3[0], ctx)
 
 
+def _choose_base_point_reference(L, ctx):
+    tau = ctx.tau
+    best, best_d = None, -1.0
+    for r in np.linspace(0.04, 0.96, 23):
+        for s in np.linspace(0.04, 0.96, 23):
+            z0 = r + s * tau
+            d = math.inf
+            for omega in (1.0, tau):
+                u = omega / abs(omega)
+                z1 = z0 + omega
+                for p in L.points:
+                    for m in range(-3, 4):
+                        for n in range(-3, 4):
+                            q = p.z + m + n * tau
+                            if not (min(z0.real, z1.real) - 0.3 <= q.real
+                                    <= max(z0.real, z1.real) + 0.3
+                                    and min(z0.imag, z1.imag) - 0.3 <= q.imag
+                                    <= max(z0.imag, z1.imag) + 0.3):
+                                continue
+                            t = min(max(((q - z0) / u).real, 0.0), abs(omega))
+                            d = min(d, abs(z0 + t * u - q))
+            d = min(d, min(lattice_distance(z0 - p.z, ctx) for p in L.points))
+            if d > best_d:
+                best_d, best = d, z0
+    return best
+
+
+@pytest.mark.parametrize("tau", [0.22 + 1.31j, 1.2j])
+def test_choose_base_point_matches_reference_loop(tau):
+    c = make_context(tau)
+    divisors = [
+        SourceDivisor.from_rs(GENERIC_POINTS, [1, 1, 1], c),
+        SourceDivisor.from_rs(GENERIC_POINTS, [3, 1, 1], c),
+        SourceDivisor.from_rs([(0.0, 0.0)], [2], c),
+    ]
+    for L in divisors:
+        assert choose_base_point(L, c) == _choose_base_point_reference(L, c)
+
+
+def test_import_defers_scipy():
+    import lamelab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lamelab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, lamelab, lamelab.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_monodromy_requires_admissible(ctx, L111):
     with pytest.raises(ValueError):
         monodromy_pair(L111, LameParams(A=[1.0, 0.0, 0.0], B=0.0), ctx)
@@ -161,6 +246,22 @@ def test_local_monodromy_log_free_certificate(ctx, L111, roots_l3):
     params = roots_l3[0]
     M = local_monodromy(L111.points[0], L111, params, ctx)
     assert np.max(np.abs(M + np.eye(2))) < 1e-5
+
+
+def test_local_monodromy_matches_polyline_transport(ctx, L111, roots_l3):
+    params = roots_l3[0]
+    for p in L111.points:
+        radius = min(0.01, min(0.4 * lattice_distance(p.z - q.z, ctx)
+                               for q in L111.points if q is not p))
+        polygon = [p.z + radius * cmath.exp(2j * math.pi * k / 48) for k in range(49)]
+        M_poly = transport(polygon, L111, params, ctx, clearance=0.5 * radius)
+        M = local_monodromy(p, L111, params, ctx)
+        assert np.max(np.abs(M - M_poly)) < 1e-8
+
+
+def test_local_monodromy_rejects_circle_near_source(ctx, L111, roots_l3):
+    with pytest.raises(PathTooClose):
+        local_monodromy(L111.points[0], L111, roots_l3[0], ctx, radius=0.45)
 
 
 def test_local_monodromy_even_weight_identity(ctx):
