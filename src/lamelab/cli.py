@@ -3,14 +3,13 @@
 Complex numbers are written as ``a+bi`` with no spaces (``1.5-0.3i``,
 ``2i``, ``0.7``); JSON output encodes them as [re, im] pairs and carries
 ``"schema": 1``.  Exit codes: 0 pass, 1 assertion failure, 2 usage error,
-3 incomplete enumeration.  LAMELAB_THREADS caps solver parallelism.
+3 incomplete enumeration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -74,13 +73,6 @@ def _emit(args, text: str) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("LAMELAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def cmd_critical(args) -> int:
@@ -147,8 +139,7 @@ def cmd_type2(args) -> int:
 def cmd_solve(args) -> int:
     ctx = make_context(args.tau)
     L = parse_divisor(args.divisor, ctx)
-    cfg = polysys.SolveConfig(seed=args.seed, max_starts=args.max_starts,
-                              threads=_threads())
+    cfg = polysys.SolveConfig(seed=args.seed, max_starts=args.max_starts)
     expected = polysys.degree_formula(L) if L.ell % 2 == 1 else None
     code = EXIT_OK
     try:

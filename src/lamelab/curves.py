@@ -23,12 +23,11 @@ from .elliptic import (
     POLE_CLEARANCE,
     LatticeContext,
     TorusPoint,
+    _wp_zeta,
     lattice_distance,
     sigma_w,
     weierstrass,
     wp_inverse,
-    wp_many,
-    zeta_many,
     zeta_w,
 )
 from .errors import NoConvergence, NoSignPattern, PoleProximity, RamifiedPoint
@@ -157,8 +156,7 @@ def point_on_Xn(n: int, B: complex, ctx: LatticeContext,
         if sep < 1e-7 * (1.0 + np.max(np.abs(xs))):
             raise RamifiedPoint("spectral polynomial has (nearly) multiple roots")
     pts = [wp_inverse(x, ctx, sign_hint=+1) for x in xs]
-    ys = [weierstrass(p.z, ctx)[1] for p in pts]
-    xs = [weierstrass(p.z, ctx)[0] for p in pts]
+    xs, ys = (list(v) for v in zip(*(weierstrass(p.z, ctx) for p in pts)))
     scale = 1.0
     for r in range(max(n - 1, 0)):
         scale = max(scale, max(abs(ys[i] * xs[i] ** r) for i in range(n)))
@@ -314,11 +312,10 @@ def _fiber_over_sigma(n: int, sigma: complex, ctx: LatticeContext,
         raise ValueError("fiber solver implemented for n = 2")
     tau = ctx.tau
     def h(a):
-        return weierstrass(a, ctx)[1] + weierstrass(sigma - a, ctx)[1]
-    def hprime(a):
-        p1, _ = weierstrass(a, ctx)
-        p2, _ = weierstrass(sigma - a, ctx)
-        return (6.0 * p1**2 - ctx.g2 / 2.0) - (6.0 * p2**2 - ctx.g2 / 2.0)
+        """h(a) = wp'(a) + wp'(sigma - a) and its derivative in a."""
+        p1, pp1 = weierstrass(a, ctx)
+        p2, pp2 = weierstrass(sigma - a, ctx)
+        return pp1 + pp2, (6.0 * p1**2 - ctx.g2 / 2.0) - (6.0 * p2**2 - ctx.g2 / 2.0)
     sols: list[complex] = []
     for rr in np.linspace(0.05, 0.95, grid):
         for ss in np.linspace(0.05, 0.95, grid):
@@ -329,10 +326,9 @@ def _fiber_over_sigma(n: int, sigma: complex, ctx: LatticeContext,
                         or lattice_distance(sigma - a, ctx) < POLE_CLEARANCE):
                     ok = False
                     break
-                f = h(a)
+                f, df = h(a)
                 if abs(f) < 1e-11:
                     break
-                df = hprime(a)
                 if abs(df) < 1e-12:
                     ok = False
                     break
@@ -342,7 +338,7 @@ def _fiber_over_sigma(n: int, sigma: complex, ctx: LatticeContext,
                 a -= step
             else:
                 ok = False
-            if not ok or abs(h(a)) > 1e-10:
+            if not ok:
                 continue
             # canonicalize, dedup modulo lattice and the swap a <-> sigma - a
             cands = [a, sigma - a]
@@ -356,8 +352,7 @@ def _fiber_over_sigma(n: int, sigma: complex, ctx: LatticeContext,
     out = []
     for a1 in sols:
         a2 = sigma - a1
-        x = [weierstrass(a1, ctx)[0], weierstrass(a2, ctx)[0]]
-        y = [weierstrass(a1, ctx)[1], weierstrass(a2, ctx)[1]]
+        x, y = (list(v) for v in zip(weierstrass(a1, ctx), weierstrass(a2, ctx)))
         res = abs(y[0] + y[1])
         out.append(XnPoint(
             n=2,
@@ -421,12 +416,10 @@ def _fiber_over_sigma_n3(sigma: complex, ctx: LatticeContext,
              round(TorusPoint.from_z(a, ctx).canonical(ctx).s, 6)) for a in trip))
         if any(k == key for k, _ in sols):
             continue
-        xs = [weierstrass(a, ctx)[0] for a in trip]
-        ys = [weierstrass(a, ctx)[1] for a in trip]
-        res = max(abs(sum(ys)), abs(sum(y * x for x, y in zip(xs, ys))))
+        # xs, ys and (f1, f2) are still those of the converged point
         sols.append((key, XnPoint(
             n=3, a=[TorusPoint.from_z(a, ctx) for a in trip],
-            x=xs, y=ys, B=5.0 * sum(xs), residual=res)))
+            x=list(xs), y=list(ys), B=5.0 * sum(xs), residual=max(abs(f1), abs(f2)))))
     return [pt for _, pt in sols]
 
 
@@ -508,8 +501,8 @@ def find_type2(n: int, ctx: LatticeContext, grid: int = 64,
     ss = (np.arange(grid) + 0.59) / grid
     R, S = np.meshgrid(rr, ss, indexing="ij")
     zg = R + S * tau
-    Zg = zeta_many(zg, ctx) - R * ctx.eta1 - S * ctx.eta2
-    P, Pp = wp_many(zg, ctx)
+    P, Zg, Pp = _wp_zeta(zg, ctx, prime=True)
+    Zg = Zg - R * ctx.eta1 - S * ctx.eta2
     if n == 2:
         vals = Zg**3 - 3.0 * P * Zg - Pp
     else:

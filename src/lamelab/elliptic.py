@@ -69,11 +69,15 @@ def default_series_terms(tau: complex) -> int:
 def make_context(tau: complex, series_terms: int | None = None, tol: float = 1e-9) -> LatticeContext:
     """Build a LatticeContext for the torus with periods (1, tau), Im tau > 0."""
     tau = complex(tau)
-    if not tau.imag > 0:
-        raise ValueError(f"Im(tau) must be positive, got {tau}")
+    if not (cmath.isfinite(tau) and tau.imag > 0):
+        raise ValueError(f"tau must be finite with Im(tau) > 0, got {tau}")
     if series_terms is None:
         series_terms = default_series_terms(tau)
+    elif series_terms < 1:
+        raise ValueError(f"series_terms must be >= 1, got {series_terms}")
     q = cmath.exp(1j * math.pi * tau)
+    if q == 0:
+        raise ValueError(f"q = exp(i pi tau) underflows for Im(tau) = {tau.imag:g}")
     if abs(q) ** (series_terms**2) >= tol:
         raise ValueError("series_terms too small for this tau at the requested tol")
     n = np.arange(series_terms)
@@ -121,8 +125,9 @@ def theta1(z: complex, ctx: LatticeContext, order: int = 0):
     argument restrictions; for large |Im z| prefer reducing through the
     torus functions below, which handle quasi-periodicity exactly.
     """
-    block = _theta_block_arrays(z, ctx._freq, ctx._coef)
-    return block[order]
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"order must be 0, 1, 2 or 3, not {order!r}")
+    return _theta_block_arrays(z, ctx._freq, ctx._coef)[order]
 
 
 @dataclass(frozen=True)
@@ -176,9 +181,7 @@ _CORNER_S = np.array([0.0, 1.0, 0.0, 1.0])
 
 def lattice_distance_many(z: np.ndarray, ctx: LatticeContext) -> np.ndarray:
     """Vectorized :func:`lattice_distance`, rounding exactly as it does."""
-    z = np.asarray(z, dtype=complex)
-    s = z.imag / ctx.tau.imag
-    r = z.real - s * ctx.tau.real
+    r, s = rs_coordinates(np.asarray(z, dtype=complex), ctx)
     r = (r - np.floor(r))[..., None] - _CORNER_R
     s = (s - np.floor(s))[..., None] - _CORNER_S
     w = r + s * ctx.tau
@@ -186,12 +189,33 @@ def lattice_distance_many(z: np.ndarray, ctx: LatticeContext) -> np.ndarray:
     return np.hypot(w.real, w.imag).min(axis=-1)
 
 
-def _reduce(z: complex, ctx: LatticeContext):
-    """Split z = z0 + m + n*tau with the coordinates of z0 in [0, 1)."""
+def _cell(z, ctx: LatticeContext):
+    """Split z = z0 + m + n*tau with the lattice coordinates of z0 in [0, 1).
+
+    z may be a scalar or an array; ``// 1.0`` floors both and keeps a
+    Python float a Python float, so the scalar path stays cheap.
+    """
     r, s = rs_coordinates(z, ctx)
-    m, n = math.floor(r), math.floor(s)
-    z0 = (r - m) + (s - n) * ctx.tau
-    return z0, m, n
+    m, n = r // 1.0, s // 1.0
+    return (r - m) + (s - n) * ctx.tau, m, n
+
+
+def _wp_zeta(z, ctx: LatticeContext, prime: bool = False):
+    """(wp, zeta) at z, or (wp, zeta, wp') with ``prime``, from one theta
+    block at the reduced point; the quasi-periods restore zeta exactly.
+
+    The one kernel behind every wp/zeta value: z may be a Python scalar
+    (Python complex arithmetic) or an array; no clearance check.
+    """
+    z0, m, n = _cell(z, ctx)
+    t0, t1, t2, t3 = _theta_block_arrays(z0, ctx._freq, ctx._coef)
+    u = t1 / t0
+    du = t2 / t0 - u * u
+    wp_val = -ctx.eta1 - du
+    zeta = ctx.eta1 * z0 + u + m * ctx.eta1 + n * ctx.eta2
+    if not prime:
+        return wp_val, zeta
+    return wp_val, zeta, -(t3 / t0 - 3.0 * u * du - u**3)
 
 
 def _require_clear(z: complex, ctx: LatticeContext, clearance: float = POLE_CLEARANCE):
@@ -203,14 +227,12 @@ def _require_clear(z: complex, ctx: LatticeContext, clearance: float = POLE_CLEA
 def zeta_w(z: complex, ctx: LatticeContext) -> complex:
     """Weierstrass zeta via eta1*z + theta1'(z)/theta1(z), reduced exactly."""
     _require_clear(z, ctx)
-    z0, m, n = _reduce(z, ctx)
-    t0, t1, _, _ = _theta_block_arrays(z0, ctx._freq, ctx._coef)
-    return ctx.eta1 * z0 + t1 / t0 + m * ctx.eta1 + n * ctx.eta2
+    return _wp_zeta(z, ctx)[1]
 
 
 def sigma_w(z: complex, ctx: LatticeContext) -> complex:
     """Weierstrass sigma = exp(eta1 z^2/2) theta1(z)/theta1'(0)."""
-    z0, m, n = _reduce(z, ctx)
+    z0, m, n = _cell(z, ctx)
     t0 = _theta_block_arrays(z0, ctx._freq, ctx._coef)[0]
     base = cmath.exp(ctx.eta1 * z0 * z0 / 2.0) * t0 / ctx.theta1prime0
     if m == 0 and n == 0:
@@ -224,12 +246,8 @@ def sigma_w(z: complex, ctx: LatticeContext) -> complex:
 def weierstrass(z: complex, ctx: LatticeContext) -> tuple[complex, complex]:
     """(wp(z), wp'(z)) through logarithmic derivatives of theta1."""
     _require_clear(z, ctx)
-    z0, _, _ = _reduce(z, ctx)
-    t0, t1, t2, t3 = _theta_block_arrays(z0, ctx._freq, ctx._coef)
-    u = t1 / t0
-    du = t2 / t0 - u * u
-    ddu = t3 / t0 - 3.0 * u * du - u**3
-    return -ctx.eta1 - du, -ddu
+    p, _, pp = _wp_zeta(z, ctx, prime=True)
+    return p, pp
 
 
 def wp(z: complex, ctx: LatticeContext) -> complex:
@@ -242,39 +260,18 @@ def wp_prime(z: complex, ctx: LatticeContext) -> complex:
 
 def zeta_many(z: np.ndarray, ctx: LatticeContext) -> np.ndarray:
     """Vectorized zeta over an array of points (no clearance check)."""
-    z = np.asarray(z, dtype=complex)
-    s = z.imag / ctx.tau.imag
-    r = z.real - s * ctx.tau.real
-    m, n = np.floor(r), np.floor(s)
-    z0 = (r - m) + (s - n) * ctx.tau
-    t0, t1, _, _ = _theta_block_arrays(z0, ctx._freq, ctx._coef)
-    return ctx.eta1 * z0 + t1 / t0 + m * ctx.eta1 + n * ctx.eta2
+    return _wp_zeta(np.asarray(z, dtype=complex), ctx)[1]
 
 
 def wp_many(z: np.ndarray, ctx: LatticeContext) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (wp, wp') over an array of points (no clearance check)."""
-    z = np.asarray(z, dtype=complex)
-    s = z.imag / ctx.tau.imag
-    r = z.real - s * ctx.tau.real
-    z0 = (r - np.floor(r)) + (s - np.floor(s)) * ctx.tau
-    t0, t1, t2, t3 = _theta_block_arrays(z0, ctx._freq, ctx._coef)
-    u = t1 / t0
-    du = t2 / t0 - u * u
-    ddu = t3 / t0 - 3.0 * u * du - u**3
-    return -ctx.eta1 - du, -ddu
+    p, _, pp = _wp_zeta(np.asarray(z, dtype=complex), ctx, prime=True)
+    return p, pp
 
 
 def wp_zeta_many(z: np.ndarray, ctx: LatticeContext) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (wp, zeta) from one theta block (no clearance check)."""
-    z = np.asarray(z, dtype=complex)
-    s = z.imag / ctx.tau.imag
-    r = z.real - s * ctx.tau.real
-    m, n = np.floor(r), np.floor(s)
-    z0 = (r - m) + (s - n) * ctx.tau
-    t0, t1, t2, _ = _theta_block_arrays(z0, ctx._freq, ctx._coef)
-    u = t1 / t0
-    wp_val = -ctx.eta1 - (t2 / t0 - u * u)
-    return wp_val, ctx.eta1 * z0 + u + m * ctx.eta1 + n * ctx.eta2
+    return _wp_zeta(np.asarray(z, dtype=complex), ctx)
 
 
 def eisenstein(tau: complex, terms: int | None = None) -> tuple[complex, complex]:
@@ -348,10 +345,12 @@ def wp_inverse(x: complex, ctx: LatticeContext, sign_hint: int = +1,
 
 def _newton_wp(a: complex, x: complex, ctx: LatticeContext, tol: float):
     scale = 1.0 + abs(x)
+    val = None   # (wp, wp') at a when the line search already has it
     for _ in range(60):
         if lattice_distance(a, ctx) < POLE_CLEARANCE / 4.0:
             return None
-        p, pp = weierstrass(a, ctx)
+        p, pp = val or weierstrass(a, ctx)
+        val = None
         f = p - x
         if abs(f) < tol * scale:
             return a
@@ -364,14 +363,14 @@ def _newton_wp(a: complex, x: complex, ctx: LatticeContext, tol: float):
         for _ in range(30):
             an = a - lam * step
             if lattice_distance(an, ctx) >= POLE_CLEARANCE / 4.0:
-                pn = weierstrass(an, ctx)[0]
-                if abs(pn - x) < base:
+                val = weierstrass(an, ctx)
+                if abs(val[0] - x) < base:
                     break
             lam *= 0.5
         else:
             return None
         a = an
-    p, _ = weierstrass(a, ctx)
+    p, _ = val or weierstrass(a, ctx)
     return a if abs(p - x) < tol * scale else None
 
 
@@ -474,28 +473,35 @@ def check_identities(ctx: LatticeContext, samples: int = 25, seed: int = 0) -> I
         a1 = _random_clear_point(rng, ctx)
         a2 = _random_clear_point(rng, ctx)
         a3 = _random_clear_point(rng, ctx)
+        # every point below is checked clear of the lattice first, so the
+        # kernel is called directly, once per point
+        (p1, k1, d1), (p2, k2, d2), (p3, k3, d3) = (
+            _wp_zeta(a, ctx, prime=True) for a in (a1, a2, a3))
         if done2 < samples:
             if lattice_distance(a1 - a2, ctx) > 3 * POLE_CLEARANCE and \
                lattice_distance(a1 + a2, ctx) > 3 * POLE_CLEARANCE:
-                z2 = zeta_w(a1 + a2, ctx) - zeta_w(a1, ctx) - zeta_w(a2, ctx)
-                rhs = wp(a1 + a2, ctx) + wp(a1, ctx) + wp(a2, ctx)
+                ps, ks = _wp_zeta(a1 + a2, ctx)
+                z2 = ks - k1 - k2
+                rhs = ps + p1 + p2
                 worst2 = max(worst2, abs(z2 * z2 - rhs) / (1.0 + abs(rhs)))
                 done2 += 1
         if done3 < samples:
             sig = a1 + a2 + a3
             if lattice_distance(sig, ctx) > 3 * POLE_CLEARANCE:
-                z3 = zeta_w(sig, ctx) - zeta_w(a1, ctx) - zeta_w(a2, ctx) - zeta_w(a3, ctx)
-                psum = wp(a1, ctx) + wp(a2, ctx) + wp(a3, ctx)
-                dsum = wp_prime(a1, ctx) + wp_prime(a2, ctx) + wp_prime(a3, ctx)
+                ps, ks, ds = _wp_zeta(sig, ctx, prime=True)
+                z3 = ks - k1 - k2 - k3
+                psum = p1 + p2 + p3
+                dsum = d1 + d2 + d3
                 lhs = z3**3
-                rhs = 3.0 * (wp(sig, ctx) + psum) * z3 + (wp_prime(sig, ctx) - dsum)
+                rhs = 3.0 * (ps + psum) * z3 + (ds - dsum)
                 worst3 = max(worst3, abs(lhs - rhs) / (1.0 + abs(rhs)))
                 done3 += 1
         if donez < samples:
             c = -a1 - a2
             if lattice_distance(c, ctx) > 3 * POLE_CLEARANCE:
-                lhs = (zeta_w(a1, ctx) + zeta_w(a2, ctx) + zeta_w(c, ctx)) ** 2
-                rhs = wp(a1, ctx) + wp(a2, ctx) + wp(c, ctx)
+                ps, ks = _wp_zeta(c, ctx)
+                lhs = (k1 + k2 + ks) ** 2
+                rhs = p1 + p2 + ps
                 worstz = max(worstz, abs(lhs - rhs) / (1.0 + abs(rhs)))
                 donez += 1
     if min(done2, done3, donez) < samples:

@@ -19,10 +19,11 @@ from .elliptic import (
     POLE_CLEARANCE,
     LatticeContext,
     TorusPoint,
+    _cell,
     lattice_distance,
     make_context,
     theta1,
-    wp_many,
+    weierstrass,
     zeta_many,
     zeta_w,
 )
@@ -40,11 +41,7 @@ def green_value(z, ctx: LatticeContext) -> float:
     zc = z.z if isinstance(z, TorusPoint) else complex(z)
     if lattice_distance(zc, ctx) < POLE_CLEARANCE:
         raise PoleProximity("Green function has its logarithmic pole here")
-    s = zc.imag / ctx.tau.imag
-    r = zc.real - s * ctx.tau.real
-    r -= math.floor(r)
-    s -= math.floor(s)
-    z0 = r + s * ctx.tau
+    z0, _, _ = _cell(zc, ctx)
     b = ctx.tau.imag
     val = -math.log(abs(theta1(z0, ctx) / ctx.theta1prime0)) / (2.0 * math.pi)
     return val + z0.imag**2 / (2.0 * b)
@@ -109,16 +106,18 @@ class CriticalSet:
 def _newton_Z(r: float, s: float, ctx: LatticeContext, iters: int = 60) -> tuple[float, float] | None:
     """2D Newton for (Re Z, Im Z) = 0 in the (r, s) chart."""
     tau = ctx.tau
+    val = None   # Z at (r, s) when the line search already has it
     for _ in range(iters):
         z = r + s * tau
         if lattice_distance(z, ctx) < POLE_CLEARANCE / 2:
             return None
-        val = zeta_w(z, ctx) - r * ctx.eta1 - s * ctx.eta2
+        if val is None:
+            val = zeta_w(z, ctx) - r * ctx.eta1 - s * ctx.eta2
         if abs(val) < 1e-13:
             return r, s
-        p, _ = wp_many(np.array([z]), ctx)
-        zr = -p[0] - ctx.eta1
-        zs = -p[0] * tau - ctx.eta2
+        p, _ = weierstrass(z, ctx)
+        zr = -p - ctx.eta1
+        zs = -p * tau - ctx.eta2
         jac = np.array([[zr.real, zs.real], [zr.imag, zs.imag]])
         try:
             step = np.linalg.solve(jac, np.array([val.real, val.imag]))
@@ -136,9 +135,9 @@ def _newton_Z(r: float, s: float, ctx: LatticeContext, iters: int = 60) -> tuple
             lam *= 0.5
         else:
             return None
-        r, s = rn, sn
-    z = r + s * tau
-    val = zeta_w(z, ctx) - r * ctx.eta1 - s * ctx.eta2
+        r, s, val = rn, sn, vn
+    if val is None:
+        val = zeta_w(r + s * tau, ctx) - r * ctx.eta1 - s * ctx.eta2
     return (r, s) if abs(val) < 1e-11 else None
 
 

@@ -26,6 +26,7 @@ from .elliptic import (
     lattice_distance,
     lattice_distance_many,
     weierstrass,
+    wp_many,
     wp_zeta_many,
     zeta_w,
 )
@@ -368,8 +369,11 @@ def period_integral_quadrature(a: complex, i: int, ctx: LatticeContext,
     a = complex(a)
     omega = 1.0 + 0j if i == 1 else ctx.tau
     pa, ppa = weierstrass(a, ctx)
-    ts = np.linspace(0.0, 1.0, nodes + 1)
-    vals = np.array([ppa / (weierstrass(z0 + t * omega, ctx)[0] - pa) for t in ts])
+    x = z0 + np.linspace(0.0, 1.0, nodes + 1) * omega
+    near = lattice_distance_many(x, ctx) < POLE_CLEARANCE
+    if near.any():
+        raise PoleProximity(f"quadrature node {x[near.argmax()]} is within clearance of the lattice")
+    vals = ppa / (wp_many(x, ctx)[0] - pa)
     return complex(omega * (np.sum(vals[1:-1]) + 0.5 * (vals[0] + vals[-1])) / nodes)
 
 
@@ -377,19 +381,13 @@ def _clear_period_bases(a: complex, i: int, ctx: LatticeContext, count: int):
     """Base points whose straight period segment clears x = +-a and the
     lattice, best first."""
     omega = 1.0 + 0j if i == 1 else ctx.tau
-    scored = []
-    for r in np.linspace(0.05, 0.95, 13):
-        for s in np.linspace(0.05, 0.95, 13):
-            z0 = r + s * ctx.tau
-            d = min(
-                min(lattice_distance(z0 + t * omega - sgn * a, ctx)
-                    for t in np.linspace(0, 1, 33))
-                for sgn in (+1, -1))
-            d = min(d, min(lattice_distance(z0 + t * omega, ctx)
-                           for t in np.linspace(0, 1, 33)))
-            scored.append((d, z0))
-    scored.sort(key=lambda t: -t[0])
-    return [z for d, z in scored[:count] if d > 0.04]
+    g = np.linspace(0.05, 0.95, 13)
+    z0 = (g[:, None] + g * ctx.tau).reshape(-1)
+    seg = z0[:, None] + np.linspace(0, 1, 33) * omega
+    d = np.minimum.reduce([lattice_distance_many(seg - shift, ctx).min(axis=1)
+                           for shift in (a, -a, 0.0)])
+    best = np.argsort(-d, kind="stable")[:count]
+    return [z0[k] for k in best if d[k] > 0.04]
 
 
 def period_crosscheck(a: complex, i: int, ctx: LatticeContext,

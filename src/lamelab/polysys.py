@@ -16,7 +16,6 @@ import cmath
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction as Fr
 
@@ -424,7 +423,6 @@ class SolveConfig:
     radius: float | None = None
     dedup_tol: float = 1e-7
     residual_tol: float = 1e-10
-    threads: int = 1
 
 
 def _newton_system(polys, grads, v0, iters):
@@ -458,8 +456,7 @@ def solve_polynomial_system(polys: list[MultiPoly], cfg: SolveConfig,
     """Multistart damped Newton with dedup; deterministic under cfg.seed.
 
     Stops as soon as ``expected`` distinct roots are found.  Root vectors
-    come back sorted (by B, then lexicographically) so multithreaded runs
-    merge identically.
+    come back sorted (by B, then lexicographically).
     """
     nv = polys[0].nvars
     grads = [[p.partial(i) for i in range(nv)] for p in polys]
@@ -483,35 +480,12 @@ def solve_polynomial_system(polys: list[MultiPoly], cfg: SolveConfig,
                 return True
         return False
 
-    def run_batch(batch):
-        out = []
-        for v0 in batch:
-            res = _newton_system(polys, grads, v0, cfg.newton_iters)
-            if res is not None:
-                out.append(res)
-        return out
-
-    threads = max(1, cfg.threads)
-    batch_size = 24 if threads > 1 else 1
-    i = 0
-    while i < len(starts):
+    for v0 in starts:
         if expected is not None and len(roots) >= expected:
             break
-        if threads > 1:
-            batches = [starts[j:j + batch_size]
-                       for j in range(i, min(i + threads * batch_size, len(starts)), batch_size)]
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(run_batch, batches))
-            for chunk in results:
-                for v in chunk:
-                    if not is_dup(v):
-                        roots.append(v)
-            i += sum(len(b) for b in batches)
-        else:
-            res = _newton_system(polys, grads, starts[i], cfg.newton_iters)
-            if res is not None and not is_dup(res):
-                roots.append(res)
-            i += 1
+        res = _newton_system(polys, grads, v0, cfg.newton_iters)
+        if res is not None and not is_dup(res):
+            roots.append(res)
     roots.sort(key=lambda v: (round(v[-1].real, 8), round(v[-1].imag, 8))
                + tuple((round(c.real, 8), round(c.imag, 8)) for c in v[:-1]))
     return roots

@@ -60,6 +60,11 @@ def test_critical_malformed_tau():
     assert main(["critical", "--tau", "0.5-1i"]) == EXIT_USAGE
 
 
+def test_nonfinite_tau_is_usage_error(capsys):
+    assert main(["hecke", "--tau", "0+infi", "--r", "0.2", "--s", "0.3"]) == EXIT_USAGE
+    assert "tau must be finite" in capsys.readouterr().err
+
+
 def test_solve_counts_and_exit(tmp_path):
     out = tmp_path / "sols.json"
     code = main(["solve", "--tau", "0.22+1.31i", "--divisor", DIVISOR_L3,

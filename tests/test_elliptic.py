@@ -17,11 +17,15 @@ from lamelab import (
 )
 from lamelab.elliptic import (
     TorusPoint,
+    _theta_block_arrays,
     lattice_distance,
     lattice_distance_many,
+    rs_coordinates,
     wp,
+    wp_many,
     wp_prime,
     wp_zeta_many,
+    zeta_many,
 )
 from lamelab.errors import PoleProximity
 
@@ -33,6 +37,19 @@ TWO_PI_I = 2j * math.pi
 def test_context_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         make_context(0.5 - 1.0j)
+
+
+@pytest.mark.parametrize("tau", [complex(0, math.inf), complex(math.inf, 1.0),
+                                 complex(0.3, math.nan), 240j])
+def test_context_rejects_nonfinite_or_underflowing_tau(tau):
+    with pytest.raises(ValueError):
+        make_context(tau)
+
+
+@pytest.mark.parametrize("terms", [-2, 0])
+def test_context_rejects_nonpositive_series_terms(terms):
+    with pytest.raises(ValueError):
+        make_context(5j, series_terms=terms)
 
 
 def test_context_truncation_invariant(ctx):
@@ -55,6 +72,15 @@ def test_torus_point_coordinates(ctx):
 
 def test_theta1_zero_at_origin(ctx):
     assert theta1(0.0, ctx) == 0
+
+
+def test_theta1_orders(ctx):
+    z = 0.31 + 0.2 * ctx.tau
+    h = 1e-6
+    assert abs((theta1(z + h, ctx) - theta1(z - h, ctx)) / (2 * h) - theta1(z, ctx, 1)) < 1e-6
+    for order in (-1, 4):
+        with pytest.raises(ValueError):
+            theta1(z, ctx, order)
 
 
 def test_theta1_odd(ctx, rng):
@@ -285,3 +311,111 @@ def test_lattice_distance_many_equals_scalar(rng):
         want = [lattice_distance(complex(v), c) for v in z]
         assert lattice_distance_many(z, c).tolist() == want
         assert lattice_distance_many(z.reshape(20, 20), c).shape == (20, 20)
+
+
+# Verbatim copies of the wp/wp'/zeta formulas that the merged kernel
+# replaced: the scalar ones reduced with math.floor, the array ones with
+# np.floor.  The two paths round differently (a BLAS dot against a
+# matrix-vector product, CPython's complex division against numpy's), so
+# each entry point is pinned to the copy of its own path.
+
+def _ref_reduce(z, ctx):
+    r, s = rs_coordinates(z, ctx)
+    m, n = math.floor(r), math.floor(s)
+    z0 = (r - m) + (s - n) * ctx.tau
+    return z0, m, n
+
+
+def _ref_weierstrass(z, ctx):
+    z0, _, _ = _ref_reduce(z, ctx)
+    t0, t1, t2, t3 = _theta_block_arrays(z0, ctx._freq, ctx._coef)
+    u = t1 / t0
+    du = t2 / t0 - u * u
+    ddu = t3 / t0 - 3.0 * u * du - u**3
+    return -ctx.eta1 - du, -ddu
+
+
+def _ref_zeta_w(z, ctx):
+    z0, m, n = _ref_reduce(z, ctx)
+    t0, t1, _, _ = _theta_block_arrays(z0, ctx._freq, ctx._coef)
+    return ctx.eta1 * z0 + t1 / t0 + m * ctx.eta1 + n * ctx.eta2
+
+
+def _ref_many(z, ctx):
+    z = np.asarray(z, dtype=complex)
+    s = z.imag / ctx.tau.imag
+    r = z.real - s * ctx.tau.real
+    m, n = np.floor(r), np.floor(s)
+    z0 = (r - m) + (s - n) * ctx.tau
+    t0, t1, t2, t3 = _theta_block_arrays(z0, ctx._freq, ctx._coef)
+    u = t1 / t0
+    du = t2 / t0 - u * u
+    ddu = t3 / t0 - 3.0 * u * du - u**3
+    return -ctx.eta1 - du, -ddu, ctx.eta1 * z0 + t1 / t0 + m * ctx.eta1 + n * ctx.eta2
+
+
+def _kernel_sample(rng, c):
+    z = rng.uniform(-0.5, 1.5, 80) + rng.uniform(-0.5, 1.5, 80) * c.tau
+    half = np.array([0.5, 0.5 * c.tau, 0.5 + 0.5 * c.tau])
+    z = np.concatenate([z, half, half - 3.0 + 2.0 * c.tau, z[:20] + 7.0 - 5.0 * c.tau,
+                        z[20:40] - 40.0 + 31.0 * c.tau])
+    return z[lattice_distance_many(z, c) > 0.01]
+
+
+def test_kernel_bit_identical_to_reference_formulas(rng):
+    for tau in (0.22 + 1.31j, 1.2j, -0.4 + 0.7j, 7.3 + 0.9j, 0.05 + 0.12j, 0.1 + 6j):
+        c = make_context(tau)
+        z = _kernel_sample(rng, c)
+        for v in list(z) + [complex(v) for v in z]:   # numpy and Python scalars
+            assert weierstrass(v, c) == _ref_weierstrass(v, c)
+            assert zeta_w(v, c) == _ref_zeta_w(v, c)
+        assert zeta_w(0.5, c) == _ref_zeta_w(0.5, c)
+        p, pp, zt = _ref_many(z, c)
+        assert np.array_equal(wp_many(z, c)[0], p) and np.array_equal(wp_many(z, c)[1], pp)
+        assert np.array_equal(zeta_many(z, c), zt)
+        pv, zv = wp_zeta_many(z, c)
+        assert np.array_equal(pv, p) and np.array_equal(zv, zt)
+        grid = z[:36].reshape(6, 6)
+        assert np.array_equal(zeta_many(grid, c), zt[:36].reshape(6, 6))
+
+
+def _mp_kernel(z, tau, mp):
+    """(wp, wp', zeta) at the unreduced z from mpmath theta log-derivatives,
+    with theta1(z) = jtheta(1, pi z, q) as in the kernel."""
+    q = mp.exp(1j * mp.pi * tau)
+    x = mp.pi * z
+
+    def th(k, at):
+        return mp.pi**k * mp.jtheta(1, at, q, k)
+
+    eta1 = -th(3, 0) / (3 * th(1, 0))
+    t0, t1, t2, t3 = (th(k, x) for k in range(4))
+    u = t1 / t0
+    du = t2 / t0 - u * u
+    ddu = t3 / t0 - 3 * u * du - u**3
+    return -eta1 - du, -ddu, eta1 * z + u
+
+
+def test_kernel_matches_mpmath_oracle(rng):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for tau in (7.3 + 0.9j, 0.05 + 0.12j, 0.1 + 6j, 0.22 + 1.31j):
+            c = make_context(tau)
+            r, s = rng.uniform(0.1, 0.9, 6), rng.uniform(0.1, 0.9, 6)
+            shift = rng.integers(-3, 4, 6) + rng.integers(-3, 4, 6) * c.tau
+            z = r + s * c.tau + shift
+            z = z[lattice_distance_many(z, c) > 0.02]
+            pv, ppv = wp_many(z, c)
+            pz, zv = wp_zeta_many(z, c)
+            zm = zeta_many(z, c)
+            for k, v in enumerate(z):
+                p_ref, pp_ref, z_ref = (complex(w) for w in _mp_kernel(
+                    mpmath.mpc(v), mpmath.mpc(tau), mpmath.mp))
+                p_scale = 1.0 + abs(p_ref)
+                got_p, got_pp = weierstrass(complex(v), c)
+                for val in (got_p, pv[k], pz[k]):
+                    assert abs(val - p_ref) < 1e-11 * p_scale
+                for val in (got_pp, ppv[k]):
+                    assert abs(val - pp_ref) < 1e-11 * p_scale**1.5
+                for val in (zeta_w(complex(v), c), zv[k], zm[k]):
+                    assert abs(val - z_ref) < 1e-11 * (1.0 + abs(z_ref))

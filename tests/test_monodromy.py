@@ -39,9 +39,11 @@ from lamelab.errors import (
 from lamelab.elliptic import POLE_CLEARANCE, lattice_distance
 from lamelab.monodromy import (
     MonodromyPair,
+    _clear_period_bases,
     choose_base_point,
     path_with_detours,
     period_crosscheck,
+    period_integral_quadrature,
 )
 
 GENERIC_POINTS = [(0.13, 0.21), (0.54, 0.39), (0.82, 0.70)]
@@ -355,6 +357,54 @@ def test_period_crosscheck_quadrature(ctx):
         rep = period_crosscheck(a, i, ctx)
         assert rep["defect_mod_2pi"] < 1e-6
         assert rep["defect_mod_4pi"] < 1e-6
+
+
+def _clear_period_bases_reference(a, i, ctx, count):
+    """The scalar loop that _clear_period_bases replaced."""
+    omega = 1.0 + 0j if i == 1 else ctx.tau
+    scored = []
+    for r in np.linspace(0.05, 0.95, 13):
+        for s in np.linspace(0.05, 0.95, 13):
+            z0 = r + s * ctx.tau
+            d = min(
+                min(lattice_distance(z0 + t * omega - sgn * a, ctx)
+                    for t in np.linspace(0, 1, 33))
+                for sgn in (+1, -1))
+            d = min(d, min(lattice_distance(z0 + t * omega, ctx)
+                           for t in np.linspace(0, 1, 33)))
+            scored.append((d, z0))
+    scored.sort(key=lambda t: -t[0])
+    return [z for d, z in scored[:count] if d > 0.04]
+
+
+def _quadrature_reference(a, i, ctx, z0, nodes):
+    """The scalar loop that period_integral_quadrature replaced."""
+    omega = 1.0 + 0j if i == 1 else ctx.tau
+    pa, ppa = weierstrass(a, ctx)
+    ts = np.linspace(0.0, 1.0, nodes + 1)
+    vals = np.array([ppa / (weierstrass(z0 + t * omega, ctx)[0] - pa) for t in ts])
+    return complex(omega * (np.sum(vals[1:-1]) + 0.5 * (vals[0] + vals[-1])) / nodes)
+
+
+@pytest.mark.parametrize("tau", [0.22 + 1.31j, 1.2j, -0.3 + 0.8j])
+def test_period_quadrature_matches_reference_loops(tau):
+    c = make_context(tau)
+    for a in (0.31 + 0.27 * c.tau, 0.7 + 0.12 * c.tau):
+        for i in (1, 2):
+            bases = _clear_period_bases(a, i, c, 6)
+            assert bases == _clear_period_bases_reference(a, i, c, 6)
+            for z0 in bases[:2]:
+                got = period_integral_quadrature(a, i, c, z0, nodes=400)
+                want = _quadrature_reference(a, i, c, z0, 400)
+                # the array kernel rounds differently from the scalar one
+                assert abs(got - want) < 1e-13 * (1.0 + abs(want))
+
+
+def test_period_quadrature_rejects_segment_through_lattice(ctx):
+    with pytest.raises(PoleProximity):
+        period_integral_quadrature(0.31 + 0.17 * ctx.tau, 1, ctx, -0.5 + 0j)
+    with pytest.raises(PoleProximity):
+        period_integral_quadrature(0.31 + 0.17 * ctx.tau, 2, ctx, 0.0 + 0.0002j)
 
 
 def test_period_lattice_combination(ctx):

@@ -244,14 +244,6 @@ def test_solve_deterministic(ctx, L111):
     assert [(s.B, tuple(s.A)) for s in a] == [(s.B, tuple(s.A)) for s in b]
 
 
-def test_solve_threaded_merge_matches(ctx, L111):
-    base = solve_system(L111, ctx, SolveConfig(seed=7, max_starts=900))
-    thr = solve_system(L111, ctx, SolveConfig(seed=7, max_starts=900, threads=4))
-    assert len(base) == len(thr) == 4
-    for x, y in zip(base, thr):
-        assert abs(x.B - y.B) < 1e-9
-
-
 def test_partial_enumeration_carries_payload(ctx, L111):
     with pytest.raises(PartialEnumeration) as err:
         solve_system(L111, ctx, SolveConfig(seed=1, max_starts=2))
