@@ -23,6 +23,9 @@ from .elliptic import (
     POLE_CLEARANCE,
     LatticeContext,
     TorusPoint,
+    _damped_newton,
+    _require_clear,
+    _wp_clear,
     _wp_zeta,
     lattice_distance,
     sigma_w,
@@ -30,7 +33,7 @@ from .elliptic import (
     wp_inverse,
     zeta_w,
 )
-from .errors import NoConvergence, NoSignPattern, PoleProximity, RamifiedPoint
+from .errors import NoSignPattern, PoleProximity, RamifiedPoint
 from .green import _winding_cells, critical_points, hecke_Z
 
 E2_RS = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
@@ -232,17 +235,31 @@ def _wn_coefficients(n: int):
     raise ValueError("explicit W_n is available for n in {2, 3, 4} only")
 
 
+def _wn(n: int, zval, p, pp, ctx: LatticeContext, partials: bool = False):
+    """W_n at Z = zval with wp, wp' = p, pp (scalars or arrays), from the
+    :func:`_wn_coefficients` table; with ``partials`` the tuple
+    (W_n, dW_n/dZ, dW_n/dwp, dW_n/dwp')."""
+    out = [0.0 + 0j] * (4 if partials else 1)
+    for (jz, dp, ddp, dg2, dg3), cf in _wn_coefficients(n).items():
+        def term(j, a, b):
+            return complex(cf) * zval**j * p**a * pp**b * ctx.g2**dg2 * ctx.g3**dg3
+        out[0] += term(jz, dp, ddp)
+        if partials:
+            if jz:
+                out[1] += jz * term(jz - 1, dp, ddp)
+            if dp:
+                out[2] += dp * term(jz, dp - 1, ddp)
+            if ddp:
+                out[3] += ddp * term(jz, dp, ddp - 1)
+    return tuple(out) if partials else out[0]
+
+
 def Wn_eval(n: int, zval: complex, sigma, ctx: LatticeContext) -> complex:
     """The explicit polynomial W_n(z) with wp, wp' at sigma and g2, g3
     from the context; W_n(z_n(a)) = 0 on X_n."""
     sig = sigma.z if isinstance(sigma, TorusPoint) else complex(sigma)
-    if lattice_distance(sig, ctx) < POLE_CLEARANCE:
-        raise PoleProximity("sigma on the lattice")
-    p, pp = weierstrass(sig, ctx)
-    total = 0.0 + 0j
-    for (jz, dp, ddp, dg2, dg3), cf in _wn_coefficients(n).items():
-        total += complex(cf) * zval**jz * p**dp * pp**ddp * ctx.g2**dg2 * ctx.g3**dg3
-    return total
+    p, pp = weierstrass(sig, ctx)     # raises PoleProximity on the lattice
+    return _wn(n, zval, p, pp, ctx)
 
 
 def Wn_monomial_scale(n: int, zval: complex, sigma, ctx: LatticeContext) -> float:
@@ -260,10 +277,11 @@ def Zn_premodular(n: int, sigma, ctx: LatticeContext) -> complex:
     """Pre-modular form Z_n(sigma) = W_n(Z(sigma)); Z_1 is the Hecke
     function itself."""
     pt = sigma if isinstance(sigma, TorusPoint) else TorusPoint.from_z(complex(sigma), ctx)
-    zval = hecke_Z(pt.r, pt.s, ctx)
     if n == 1:
-        return zval
-    return Wn_eval(n, zval, pt, ctx)
+        return hecke_Z(pt.r, pt.s, ctx)
+    _require_clear(pt.z, ctx)
+    p, zeta, pp = _wp_zeta(pt.z, ctx, prime=True)
+    return _wn(n, zeta - pt.r * ctx.eta1 - pt.s * ctx.eta2, p, pp, ctx)
 
 
 def hermite_halphen(a: XnPoint, z: complex, ctx: LatticeContext) -> complex:
@@ -300,126 +318,77 @@ def _is_two_torsion(r: float, s: float, tol: float = 1e-8) -> bool:
     return False
 
 
-def _fiber_over_sigma(n: int, sigma: complex, ctx: LatticeContext,
-                      grid: int = 14) -> list[XnPoint]:
-    """All points of X_n above sigma under the addition map (n = 2 only).
+def _fiber_over_sigma(sigma: complex, ctx: LatticeContext, grid: int = 14) -> list[XnPoint]:
+    """All points of X_2 above sigma under the addition map.
 
     Works in the a_1 chart: a_2 = sigma - a_1 and the curve equation
-    becomes wp'(a_1) + wp'(sigma - a_1) = 0, an order-6 elliptic equation
-    whose zeros pair up under a_1 <-> a_2.
+    becomes h(a) = wp'(a) + wp'(sigma - a) = 0, an order-6 elliptic
+    equation whose zeros pair up under a_1 <-> a_2.
     """
-    if n != 2:
-        raise ValueError("fiber solver implemented for n = 2")
-    tau = ctx.tau
-    def h(a):
-        """h(a) = wp'(a) + wp'(sigma - a) and its derivative in a."""
-        p1, pp1 = weierstrass(a, ctx)
-        p2, pp2 = weierstrass(sigma - a, ctx)
-        return pp1 + pp2, (6.0 * p1**2 - ctx.g2 / 2.0) - (6.0 * p2**2 - ctx.g2 / 2.0)
-    sols: list[complex] = []
-    for rr in np.linspace(0.05, 0.95, grid):
-        for ss in np.linspace(0.05, 0.95, grid):
-            a = rr + ss * tau
-            ok = True
-            for _ in range(60):
-                if (lattice_distance(a, ctx) < POLE_CLEARANCE
-                        or lattice_distance(sigma - a, ctx) < POLE_CLEARANCE):
-                    ok = False
-                    break
-                f, df = h(a)
-                if abs(f) < 1e-11:
-                    break
-                if abs(df) < 1e-12:
-                    ok = False
-                    break
-                step = f / df
-                if abs(step) > 0.45:
-                    step *= 0.45 / abs(step)
-                a -= step
-            else:
-                ok = False
-            if not ok:
-                continue
-            # canonicalize, dedup modulo lattice and the swap a <-> sigma - a
-            cands = [a, sigma - a]
-            dup = False
-            for b in sols:
-                for c in cands:
-                    if lattice_distance(c - b, ctx) < 1e-6:
-                        dup = True
-            if not dup:
-                sols.append(a)
-    out = []
-    for a1 in sols:
-        a2 = sigma - a1
-        x, y = (list(v) for v in zip(weierstrass(a1, ctx), weierstrass(a2, ctx)))
-        res = abs(y[0] + y[1])
-        out.append(XnPoint(
-            n=2,
-            a=[TorusPoint.from_z(a1, ctx), TorusPoint.from_z(a2, ctx)],
-            x=x, y=y, B=3.0 * (x[0] + x[1]), residual=res,
-        ))
-    return out
+    def residual(a):
+        v1, v2 = _wp_clear(a, ctx), _wp_clear(sigma - a, ctx)
+        if v1 is None or v2 is None:
+            return None
+        return v1[1] + v2[1], (v1, v2)
 
-
-def _fiber_over_sigma_n3(sigma: complex, ctx: LatticeContext,
-                         starts: int = 60, seed: int = 0) -> list[XnPoint]:
-    """Fiber points of sigma_3 by multistart Newton on (a_1, a_2) with
-    a_3 = sigma - a_1 - a_2; enumeration is best-effort (degree 6)."""
-    rng = np.random.default_rng(seed)
-    tau = ctx.tau
-
-    def wp_pair(a):
-        return weierstrass(a, ctx)
-
-    def equations(a1, a2):
-        a3 = sigma - a1 - a2
-        xs, ys = zip(*(wp_pair(a) for a in (a1, a2, a3)))
-        return (sum(ys), sum(y * x for x, y in zip(xs, ys))), xs, ys
-
-    def clear(a1, a2):
-        a3 = sigma - a1 - a2
-        return all(lattice_distance(a, ctx) > POLE_CLEARANCE for a in (a1, a2, a3))
+    def slope(a, f, vals):
+        (p1, _), (p2, _) = vals
+        return (6.0 * p1**2 - ctx.g2 / 2.0) - (6.0 * p2**2 - ctx.g2 / 2.0)
 
     sols = []
-    for _ in range(starts):
+    for rr in np.linspace(0.05, 0.95, grid):
+        for ss in np.linspace(0.05, 0.95, grid):
+            hit = _damped_newton(residual, slope, rr + ss * ctx.tau, 1e-11, 60, cap=0.45)
+            if hit is None:
+                continue
+            a = hit[0]
+            # dedup modulo the lattice and the swap a <-> sigma - a
+            if not any(lattice_distance(c - b, ctx) < 1e-6
+                       for b, _ in sols for c in (a, sigma - a)):
+                sols.append((a, hit[1][1]))
+    return [XnPoint(n=2, a=[TorusPoint.from_z(a1, ctx), TorusPoint.from_z(sigma - a1, ctx)],
+                    x=[x1, x2], y=[y1, y2], B=3.0 * (x1 + x2), residual=abs(y1 + y2))
+            for a1, ((x1, y1), (x2, y2)) in sols]
+
+
+def _fiber_over_sigma_n3(sigma: complex, ctx: LatticeContext) -> list[XnPoint]:
+    """Fiber points of sigma_3 by multistart Newton on (a_1, a_2) with
+    a_3 = sigma - a_1 - a_2; enumeration is best-effort (degree 6)."""
+    rng = np.random.default_rng(0)
+    tau = ctx.tau
+
+    def residual(v):
+        vals = [_wp_clear(a, ctx) for a in (v[0], v[1], sigma - v[0] - v[1])]
+        if None in vals:
+            return None
+        xs, ys = zip(*vals)
+        return np.array([sum(ys), sum(y * x for x, y in zip(xs, ys))]), (xs, ys)
+
+    def jacobian(v, f, data):
+        # holomorphic Jacobian; the a_3 column enters with a minus sign
+        xs, ys = data
+        d1 = [6.0 * x * x - ctx.g2 / 2.0 for x in xs]
+        d2 = [d * x + y * y for d, x, y in zip(d1, xs, ys)]
+        return np.array([[d1[0] - d1[2], d1[1] - d1[2]],
+                         [d2[0] - d2[2], d2[1] - d2[2]]])
+
+    sols = []
+    for _ in range(60):
         a1 = rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * tau
         a2 = rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * tau
-        ok = False
-        for _ in range(70):
-            if not clear(a1, a2):
-                break
-            (f1, f2), xs, ys = equations(a1, a2)
-            if abs(f1) + abs(f2) < 1e-11:
-                ok = True
-                break
-            ddp = [6.0 * x * x - ctx.g2 / 2.0 for x in xs]
-            # holomorphic Jacobian; the a_3 column enters with a minus sign
-            j11 = ddp[0] - ddp[2]
-            j12 = ddp[1] - ddp[2]
-            j21 = ddp[0] * xs[0] + ys[0] ** 2 - (ddp[2] * xs[2] + ys[2] ** 2)
-            j22 = ddp[1] * xs[1] + ys[1] ** 2 - (ddp[2] * xs[2] + ys[2] ** 2)
-            det = j11 * j22 - j12 * j21
-            if abs(det) < 1e-12:
-                break
-            d1 = (f1 * j22 - f2 * j12) / det
-            d2 = (j11 * f2 - j21 * f1) / det
-            step = max(abs(d1), abs(d2))
-            if step > 0.4:
-                d1, d2 = d1 * 0.4 / step, d2 * 0.4 / step
-            a1, a2 = a1 - d1, a2 - d2
-        if not ok:
+        hit = _damped_newton(residual, jacobian, np.array([a1, a2]), 1e-11, 70, cap=0.4)
+        if hit is None:
             continue
+        (a1, a2), (f, (xs, ys)) = hit
         trip = [a1, a2, sigma - a1 - a2]
         key = tuple(sorted(
             (round(TorusPoint.from_z(a, ctx).canonical(ctx).r, 6),
              round(TorusPoint.from_z(a, ctx).canonical(ctx).s, 6)) for a in trip))
         if any(k == key for k, _ in sols):
             continue
-        # xs, ys and (f1, f2) are still those of the converged point
         sols.append((key, XnPoint(
             n=3, a=[TorusPoint.from_z(a, ctx) for a in trip],
-            x=list(xs), y=list(ys), B=5.0 * sum(xs), residual=max(abs(f1), abs(f2)))))
+            x=list(xs), y=list(ys), B=5.0 * sum(xs), residual=float(np.abs(f).max()))))
     return [pt for _, pt in sols]
 
 
@@ -434,7 +403,7 @@ def sigma_n_degree_probe(n: int, sigma0, ctx: LatticeContext, grid: int = 14) ->
         return 1
     if n != 2:
         raise ValueError("degree probe implemented for n in {1, 2}")
-    pts = _fiber_over_sigma(2, sig, ctx, grid=grid)
+    pts = _fiber_over_sigma(sig, ctx, grid=grid)
     bs: list[complex] = []
     for p in pts:
         if not any(abs(p.B - b) < 1e-6 * (1.0 + abs(b)) for b in bs):
@@ -494,53 +463,38 @@ def find_type2(n: int, ctx: LatticeContext, grid: int = 64,
     tau = ctx.tau
     zeros: list[tuple[float, float]] = []
 
-    def z2(rs):
-        return Zn_premodular(n, TorusPoint.from_rs(rs[0], rs[1], ctx), ctx)
+    def residual(x):
+        r, s = x
+        z = r + s * tau
+        if lattice_distance(z, ctx) < POLE_CLEARANCE:
+            return None
+        p, zeta, pp = _wp_zeta(z, ctx, prime=True)
+        zv = zeta - r * ctx.eta1 - s * ctx.eta2
+        return _wn(n, zv, p, pp, ctx), (zv, p, pp)
+
+    def jacobian(x, f, data):
+        # chain rule through Z_r = -wp - eta1, Z_s = -wp tau - eta2 and
+        # d/ds = tau d/dr on wp, wp', with wp'' = 6 wp^2 - g2/2
+        zv, p, pp = data
+        _, wz, wp_, wpp = _wn(n, zv, p, pp, ctx, partials=True)
+        dwp = wp_ * pp + wpp * (6.0 * p * p - ctx.g2 / 2.0)
+        fr = wz * (-p - ctx.eta1) + dwp
+        fs = wz * (-p * tau - ctx.eta2) + dwp * tau
+        return np.array([[fr.real, fs.real], [fr.imag, fs.imag]])
 
     rr = (np.arange(grid) + 0.37) / grid
     ss = (np.arange(grid) + 0.59) / grid
     R, S = np.meshgrid(rr, ss, indexing="ij")
-    zg = R + S * tau
-    P, Zg, Pp = _wp_zeta(zg, ctx, prime=True)
-    Zg = Zg - R * ctx.eta1 - S * ctx.eta2
-    if n == 2:
-        vals = Zg**3 - 3.0 * P * Zg - Pp
-    else:
-        vals = (Zg**6 - 15.0 * P * Zg**4 - 20.0 * Pp * Zg**3
-                + (6.75 * ctx.g2 - 45.0 * P**2) * Zg**2
-                - 12.0 * Pp * P * Zg - 1.25 * Pp**2)
-    wind = _winding_cells(vals)
+    P, Zg, Pp = _wp_zeta(R + S * tau, ctx, prime=True)
+    wind = _winding_cells(_wn(n, Zg - R * ctx.eta1 - S * ctx.eta2, P, Pp, ctx))
     cells = list(zip(*np.where(np.abs(np.round(wind)) >= 1)))
-    h = 1e-7
     for i, j in cells:
         r0 = (rr[i] + rr[min(i + 1, grid - 1)]) / 2
         s0 = (ss[j] + ss[min(j + 1, grid - 1)]) / 2
-        rs = np.array([r0, s0])
-        ok = False
-        for _ in range(80):
-            try:
-                f = z2(rs)
-            except PoleProximity:
-                break
-            if abs(f) < 1e-11:
-                ok = True
-                break
-            try:
-                fr = (z2(rs + [h, 0]) - z2(rs - [h, 0])) / (2 * h)
-                fs = (z2(rs + [0, h]) - z2(rs - [0, h])) / (2 * h)
-            except PoleProximity:
-                break
-            jac = np.array([[fr.real, fs.real], [fr.imag, fs.imag]])
-            try:
-                step = np.linalg.solve(jac, [f.real, f.imag])
-            except np.linalg.LinAlgError:
-                break
-            if np.max(np.abs(step)) > 0.3:
-                step *= 0.3 / np.max(np.abs(step))
-            rs = rs - step
-        if not ok:
+        hit = _damped_newton(residual, jacobian, np.array([r0, s0]), 1e-11, 80, cap=0.3)
+        if hit is None:
             continue
-        r1, s1 = rs[0] % 1.0, rs[1] % 1.0
+        r1, s1 = hit[0][0] % 1.0, hit[0][1] % 1.0
         if _is_two_torsion(r1, s1):
             continue
         dup = False
@@ -555,13 +509,10 @@ def find_type2(n: int, ctx: LatticeContext, grid: int = 64,
     for (r1, s1) in zeros:
         sig_pt = TorusPoint.from_rs(r1, s1, ctx)
         zval = hecke_Z(r1, s1, ctx)
-        try:
-            if n == 2:
-                fiber = _fiber_over_sigma(2, sig_pt.z, ctx)
-            else:
-                fiber = _fiber_over_sigma_n3(sig_pt.z, ctx)
-        except NoConvergence:
-            continue
+        if n == 2:
+            fiber = _fiber_over_sigma(sig_pt.z, ctx)
+        else:
+            fiber = _fiber_over_sigma_n3(sig_pt.z, ctx)
         best, best_d = None, math.inf
         for cand in fiber:
             d = abs(zn_value(cand, ctx) - zval)

@@ -307,7 +307,10 @@ def wp_inverse(x: complex, ctx: LatticeContext, sign_hint: int = +1,
 
     With sign_hint = +1 the returned point has wp'(a) matching the
     principal square root of 4x^3 - g2 x - g3; -1 selects the mirror.
-    Newton from the best cells of a coarse seed grid, with step damping.
+    :func:`_damped_newton` runs from the best cells of a coarse seed grid
+    until |wp(a) - x| < tol (1 + |x|).  At a branch value x = e_i, where
+    that is only sqrt-accurate, a second run on wp'(a) = 0 polishes a
+    onto the half-period.
     """
     x = complex(x)
     tau = ctx.tau
@@ -327,13 +330,15 @@ def wp_inverse(x: complex, ctx: LatticeContext, sign_hint: int = +1,
     a = a_found
     w = cmath.sqrt(4.0 * x**3 - ctx.g2 * x - ctx.g3)
     if abs(w) < 1e-5 * (1.0 + abs(x)) ** 1.5:
-        # branch value: the preimage is a half-period, where plain Newton
-        # is only sqrt-accurate; polish on wp'(a) = 0 instead
-        for _ in range(40):
-            p, pp = weierstrass(a, ctx)
-            if abs(pp) < 1e-13 * (1.0 + abs(p)) ** 1.5:
-                break
-            a -= pp / (6.0 * p * p - ctx.g2 / 2.0)
+        # branch value: the preimage is a half-period; Newton on wp'(a) = 0
+        # with wp'' = 6 wp^2 - g2/2
+        def residual(a):
+            val = _wp_clear(a, ctx)
+            return None if val is None else (val[1], val[0])
+        hit = _damped_newton(residual, lambda a, pp, p: 6.0 * p * p - ctx.g2 / 2.0,
+                             a, 1e-13 * (1.0 + abs(x)) ** 1.5, 40)
+        if hit is not None:
+            a = hit[0]
     else:
         # branch selection on wp'
         _, pp = weierstrass(a, ctx)
@@ -343,35 +348,101 @@ def wp_inverse(x: complex, ctx: LatticeContext, sign_hint: int = +1,
     return TorusPoint.from_z(a, ctx).canonical(ctx)
 
 
+def _wp_clear(z, ctx: LatticeContext):
+    """(wp, wp') at z, or None inside the pole clearance, so that a
+    Newton trial there is infeasible instead of raising."""
+    if lattice_distance(z, ctx) < POLE_CLEARANCE:
+        return None
+    p, _, pp = _wp_zeta(z, ctx, prime=True)
+    return p, pp
+
+
 def _newton_wp(a: complex, x: complex, ctx: LatticeContext, tol: float):
-    scale = 1.0 + abs(x)
-    val = None   # (wp, wp') at a when the line search already has it
-    for _ in range(60):
-        if lattice_distance(a, ctx) < POLE_CLEARANCE / 4.0:
-            return None
-        p, pp = val or weierstrass(a, ctx)
-        val = None
-        f = p - x
-        if abs(f) < tol * scale:
-            return a
-        if abs(pp) < 1e-13 * (1.0 + abs(p)) ** 1.5:
-            # critical point of wp: nudge off and keep going
-            a += 0.01 * cmath.exp(2j * math.pi * abs(f))
-            continue
-        step = f / pp
-        lam, base = 1.0, abs(f)
-        for _ in range(30):
-            an = a - lam * step
-            if lattice_distance(an, ctx) >= POLE_CLEARANCE / 4.0:
-                val = weierstrass(an, ctx)
-                if abs(val[0] - x) < base:
-                    break
+    """Root of wp(a) = x from a, or None."""
+    def residual(a):
+        val = _wp_clear(a, ctx)
+        return None if val is None else (val[0] - x, val)
+
+    def slope(a, f, val):
+        p, pp = val
+        # wp' = 0 to roundoff: a half-period, where no Newton step exists
+        return 0 if abs(pp) < 1e-13 * (1.0 + abs(p)) ** 1.5 else pp
+
+    tol = tol * (1.0 + abs(x))
+    hit = _damped_newton(residual, slope, a, tol, 60)
+    start = residual(a) if hit is None else None
+    if start is not None and slope(a, *start) == 0:
+        # a start on a half-period, such as the seed (1 + tau)/2 of
+        # wp_inverse's grid: nudge it off and start again
+        a += 0.01 * cmath.exp(2j * math.pi * abs(start[0]))
+        hit = _damped_newton(residual, slope, a, tol, 60)
+    return None if hit is None else hit[0]
+
+
+#: halvings the line search tries before it gives a Newton step up
+_HALVINGS = 30
+
+
+def _size(v):
+    """Largest entry modulus: the convergence and step-cap measure."""
+    return np.max(np.abs(v)) if isinstance(v, np.ndarray) else abs(v)
+
+
+def _norm(v):
+    """Euclidean norm: the measure the line search must decrease."""
+    return np.linalg.norm(v) if isinstance(v, np.ndarray) else abs(v)
+
+
+def _damped_newton(residual, jacobian, x, tol: float, iters: int, *,
+                   final_tol: float | None = None, cap: float | None = None):
+    """Damped Newton on residual(x) = 0 from x: (root, residual(root)) or None.
+
+    ``residual(x)`` is None where x is infeasible (off the domain or
+    inside a clearance), else ``(f, data)``, where ``data`` is whatever
+    the derivative can reuse (wp, wp' of the same kernel block, say).
+    ``jacobian(x, f, data)`` is called at accepted iterates only.  A
+    scalar derivative divides; a matrix is solved, a complex f of a real
+    pair x (an (r, s) chart) as (Re f, Im f).  The step is shortened to
+    ``cap`` in its largest entry (lattice units), then halved until the
+    residual's Euclidean norm falls (Deuflhard's monotonicity test).
+
+    An iterate whose residual has largest entry below ``tol`` is the
+    root; after ``iters`` steps the last iterate is accepted below
+    ``final_tol`` (default ``tol``).  An infeasible start, a singular
+    derivative (zero, or a matrix ``np.linalg.solve`` rejects) or a step
+    that no halving makes decrease gives None.
+    """
+    fx = residual(x)
+    if fx is None:
+        return None
+    for _ in range(iters):
+        f = fx[0]
+        if _size(f) < tol:
+            return x, fx
+        J = jacobian(x, *fx)
+        if not isinstance(J, np.ndarray):
+            if J == 0:
+                return None
+            step = f / J
+        else:
+            try:
+                step = np.linalg.solve(
+                    J, f if isinstance(f, np.ndarray) else np.array([f.real, f.imag]))
+            except np.linalg.LinAlgError:
+                return None
+        if cap is not None and _size(step) > cap:
+            step = step * (cap / _size(step))
+        lam, base = 1.0, _norm(f)
+        for _ in range(_HALVINGS):
+            trial = x - lam * step
+            ft = residual(trial)
+            if ft is not None and _norm(ft[0]) < base:
+                break
             lam *= 0.5
         else:
             return None
-        a = an
-    p, _ = val or weierstrass(a, ctx)
-    return a if abs(p - x) < tol * scale else None
+        x, fx = trial, ft
+    return (x, fx) if _size(fx[0]) < (tol if final_tol is None else final_tol) else None
 
 
 def wp_regular_coefficients(ctx: LatticeContext, k_max: int) -> np.ndarray:

@@ -20,10 +20,11 @@ from .elliptic import (
     LatticeContext,
     TorusPoint,
     _cell,
+    _damped_newton,
+    _wp_zeta,
     lattice_distance,
     make_context,
     theta1,
-    weierstrass,
     zeta_many,
     zeta_w,
 )
@@ -103,42 +104,25 @@ class CriticalSet:
         return json.dumps(payload, indent=2)
 
 
-def _newton_Z(r: float, s: float, ctx: LatticeContext, iters: int = 60) -> tuple[float, float] | None:
+def _newton_Z(r: float, s: float, ctx: LatticeContext) -> tuple[float, float] | None:
     """2D Newton for (Re Z, Im Z) = 0 in the (r, s) chart."""
     tau = ctx.tau
-    val = None   # Z at (r, s) when the line search already has it
-    for _ in range(iters):
+
+    def residual(x):
+        r, s = x
         z = r + s * tau
-        if lattice_distance(z, ctx) < POLE_CLEARANCE / 2:
+        if lattice_distance(z, ctx) < POLE_CLEARANCE:
             return None
-        if val is None:
-            val = zeta_w(z, ctx) - r * ctx.eta1 - s * ctx.eta2
-        if abs(val) < 1e-13:
-            return r, s
-        p, _ = weierstrass(z, ctx)
+        p, zeta = _wp_zeta(z, ctx)
+        return zeta - r * ctx.eta1 - s * ctx.eta2, p
+
+    def jacobian(x, val, p):
         zr = -p - ctx.eta1
         zs = -p * tau - ctx.eta2
-        jac = np.array([[zr.real, zs.real], [zr.imag, zs.imag]])
-        try:
-            step = np.linalg.solve(jac, np.array([val.real, val.imag]))
-        except np.linalg.LinAlgError:
-            return None
-        lam = 1.0
-        base = abs(val)
-        for _ in range(25):
-            rn, sn = r - lam * step[0], s - lam * step[1]
-            zn = rn + sn * tau
-            if lattice_distance(zn, ctx) >= POLE_CLEARANCE / 2:
-                vn = zeta_w(zn, ctx) - rn * ctx.eta1 - sn * ctx.eta2
-                if abs(vn) < base:
-                    break
-            lam *= 0.5
-        else:
-            return None
-        r, s, val = rn, sn, vn
-    if val is None:
-        val = zeta_w(r + s * tau, ctx) - r * ctx.eta1 - s * ctx.eta2
-    return (r, s) if abs(val) < 1e-11 else None
+        return np.array([[zr.real, zs.real], [zr.imag, zs.imag]])
+
+    hit = _damped_newton(residual, jacobian, (r, s), 1e-13, 60, final_tol=1e-11)
+    return None if hit is None else tuple(hit[0])
 
 
 def _winding_cells(vals: np.ndarray) -> np.ndarray:

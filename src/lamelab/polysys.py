@@ -25,6 +25,7 @@ from .elliptic import (
     POLE_CLEARANCE,
     LatticeContext,
     TorusPoint,
+    _damped_newton,
     lattice_distance,
     taylor_data,
     weierstrass,
@@ -419,53 +420,39 @@ def ehat_eval(s: complex, k: int, A: complex, B: complex) -> complex:
 class SolveConfig:
     seed: int = 0
     max_starts: int = 1200
-    newton_iters: int = 80
-    radius: float | None = None
-    dedup_tol: float = 1e-7
-    residual_tol: float = 1e-10
 
 
-def _newton_system(polys, grads, v0, iters):
-    v = np.array(v0, dtype=complex)
-    nv = len(v)
-    for _ in range(iters):
-        f = np.array([p.evaluate(v) for p in polys])
-        if np.max(np.abs(f)) < 1e-13:
-            return v
-        J = np.array([[g.evaluate(v) for g in row] for row in grads])
-        try:
-            dv = np.linalg.solve(J, f)
-        except np.linalg.LinAlgError:
-            return None
-        lam, base = 1.0, np.linalg.norm(f)
-        for _ in range(30):
-            vn = v - lam * dv
-            fn = np.array([p.evaluate(vn) for p in polys])
-            if np.linalg.norm(fn) < base:
-                break
-            lam *= 0.5
-        else:
-            return None
-        v = vn
-    f = np.array([p.evaluate(v) for p in polys])
-    return v if np.max(np.abs(f)) < 1e-11 else None
+#: Newton steps per start, relative distance under which two roots are
+#: one, and residual (relative to the largest monomial) a root must beat
+_NEWTON_ITERS = 80
+_DEDUP_TOL = 1e-7
+_RESIDUAL_TOL = 1e-10
+
+
+def _newton_system(polys, grads, v0):
+    """Root of the system from v0, or None; gradients only at accepted iterates."""
+    hit = _damped_newton(
+        lambda v: (np.array([p.evaluate(v) for p in polys]), None),
+        lambda v, f, _: np.array([[g.evaluate(v) for g in row] for row in grads]),
+        np.array(v0, dtype=complex), 1e-13, _NEWTON_ITERS, final_tol=1e-11)
+    return None if hit is None else hit[0]
 
 
 def solve_polynomial_system(polys: list[MultiPoly], cfg: SolveConfig,
                             expected: int | None = None) -> list[np.ndarray]:
-    """Multistart damped Newton with dedup; deterministic under cfg.seed.
+    """Multistart :func:`~lamelab.elliptic._damped_newton` with dedup;
+    deterministic under cfg.seed.
 
-    Stops as soon as ``expected`` distinct roots are found.  Root vectors
-    come back sorted (by B, then lexicographically).
+    Starts are complex Gaussians scaled by a radius from the largest
+    coefficient.  Stops as soon as ``expected`` distinct roots are found.
+    Root vectors come back sorted (by B, then lexicographically).
     """
     nv = polys[0].nvars
     grads = [[p.partial(i) for i in range(nv)] for p in polys]
     rng = np.random.default_rng(cfg.seed)
-    radius = cfg.radius
-    if radius is None:
-        big = max(max((abs(complex(c)) for c in p.terms.values()), default=1.0)
-                  for p in polys)
-        radius = 2.0 + 1.5 * math.sqrt(big)
+    big = max(max((abs(complex(c)) for c in p.terms.values()), default=1.0)
+              for p in polys)
+    radius = 2.0 + 1.5 * math.sqrt(big)
     starts = []
     for _ in range(cfg.max_starts):
         v = rng.standard_normal(nv) + 1j * rng.standard_normal(nv)
@@ -476,14 +463,14 @@ def solve_polynomial_system(polys: list[MultiPoly], cfg: SolveConfig,
 
     def is_dup(v):
         for r in roots:
-            if np.max(np.abs(v - r)) / (1.0 + np.max(np.abs(r))) < cfg.dedup_tol:
+            if np.max(np.abs(v - r)) / (1.0 + np.max(np.abs(r))) < _DEDUP_TOL:
                 return True
         return False
 
     for v0 in starts:
         if expected is not None and len(roots) >= expected:
             break
-        res = _newton_system(polys, grads, v0, cfg.newton_iters)
+        res = _newton_system(polys, grads, v0)
         if res is not None and not is_dup(res):
             roots.append(res)
     roots.sort(key=lambda v: (round(v[-1].real, 8), round(v[-1].imag, 8))
@@ -514,7 +501,7 @@ def solve_system(L: SourceDivisor, ctx: LatticeContext,
     for v in roots:
         resid = max(abs(p.evaluate(v)) for p in system)
         scale = _system_scale(system, v)
-        if resid >= cfg.residual_tol * (1.0 + scale):
+        if resid >= _RESIDUAL_TOL * (1.0 + scale):
             continue
         J = np.array([[g.evaluate(v) for g in row] for row in grads])
         sv = np.linalg.svd(J, compute_uv=False)

@@ -23,6 +23,7 @@ from lamelab import (
 )
 from lamelab.curves import (
     Wn_monomial_scale,
+    _wn,
     hermite_halphen_logderiv,
     lame_ln_raw,
     lame_sk_raw,
@@ -204,6 +205,20 @@ def test_Wn_annihilates_zn(ctx, rng, n):
         val = Wn_eval(n, zv, sig, ctx)
         scale = Wn_monomial_scale(n, zv, sig, ctx)
         assert abs(val) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_wn_partials_match_central_differences(ctx, n):
+    args = [0.7 - 0.4j, 1.3 + 0.2j, -0.5 + 0.9j]      # Z, wp, wp'
+    w, *partials = _wn(n, *args, ctx, partials=True)
+    assert w == _wn(n, *args, ctx)
+    h = 1e-6
+    for k, d in enumerate(partials):
+        up, dn = list(args), list(args)
+        up[k] += h
+        dn[k] -= h
+        fd = (_wn(n, *up, ctx) - _wn(n, *dn, ctx)) / (2 * h)
+        assert abs(fd - d) < 1e-7 * (1 + abs(d))
 
 
 def test_W2_half_period(ctx):

@@ -13,7 +13,7 @@ from lamelab import (
     make_context,
 )
 from lamelab.errors import PoleProximity
-from lamelab.green import HALF_PERIOD_RS, gamma0_2_winding
+from lamelab.green import HALF_PERIOD_RS, _newton_Z, gamma0_2_winding
 
 from conftest import RHO, random_clear_rs, random_tau
 
@@ -104,6 +104,13 @@ def test_hecke_rejects_lattice(ctx):
         hecke_Z(0.0, 0.0, ctx)
     with pytest.raises(PoleProximity):
         hecke_Z_qseries(1.0, 1.0, ctx)
+
+
+@pytest.mark.parametrize("r", [7e-4, 3e-4])
+def test_newton_Z_seed_inside_clearance_is_a_failed_seed(ctx, r):
+    # inside POLE_CLEARANCE, or inside half of it, a seed fails quietly
+    # instead of escaping as PoleProximity
+    assert _newton_Z(r, 0.0, ctx) is None
 
 
 @pytest.mark.parametrize("tau,count", [(1.5j, 3), (2j, 3), (RHO, 5)])
