@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -253,19 +254,12 @@ def cmd_germ(args) -> int:
     rng = np.random.default_rng(args.seed)
     n = args.n
     if args.symmetric:
-        pts = []
-        for _ in range(n):
-            pts.append((rng.uniform(0.05, 0.45), rng.uniform(0.05, 0.45)))
-        pairs = []
-        for r, s in pts:
-            pairs.append((r, s))
-            pairs.append(((-r) % 1.0, (-s) % 1.0))
-        order = None
+        pts = [(rng.uniform(0.05, 0.45), rng.uniform(0.05, 0.45)) for _ in range(n)]
+        pairs = [q for r, s in pts for q in ((r, s), ((-r) % 1.0, (-s) % 1.0))]
     else:
         pairs = [(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)) for _ in range(2 * n)]
-        order = None
     L = polysys.SourceDivisor.from_rs(pairs, [1] * (2 * n), ctx)
-    gs = polysys.germ_series(L, order, args.k, ctx)
+    gs = polysys.germ_series(L, None, args.k, ctx)
     report = polysys.germ_constraints(gs)
     polysys.germ_constraints_csv(report, args.output or "germ_constraints.csv")
     print(json.dumps({
@@ -356,7 +350,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:  # ``lamelab solve ... | head``: write nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except PartialEnumeration as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL

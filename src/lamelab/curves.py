@@ -110,6 +110,13 @@ class XnPoint:
             residual=self.residual,
         )
 
+    def canonical(self, ctx: LatticeContext) -> "XnPoint":
+        """The same point with each a_i in the fundamental cell, sorted by (r, s)."""
+        rows = sorted(zip((p.canonical(ctx) for p in self.a), self.x, self.y),
+                      key=lambda row: (row[0].r, row[0].s))
+        a, x, y = (list(col) for col in zip(*rows))
+        return XnPoint(n=self.n, a=a, x=x, y=y, B=self.B, residual=self.residual)
+
     def verify(self, ctx: LatticeContext) -> dict:
         """Residuals of the defining invariants, all relative."""
         curve = 0.0
@@ -520,6 +527,7 @@ def find_type2(n: int, ctx: LatticeContext, grid: int = 64,
                 best, best_d = cand, d
         if best is None or best_d > 1e-6 * (1.0 + abs(zval)):
             continue
+        best = best.canonical(ctx)   # one form per point, whatever Newton reached
         defect = abs(sum(hecke_Z(p.r, p.s, ctx) for p in best.a)) / (2.0 * math.pi)
         out.append(Type2Solution(sigma=sig_pt, a=best, zn=zn_value(best, ctx),
                                  hecke=zval, green_defect=defect))

@@ -114,12 +114,13 @@ class MultiPoly:
     each coefficient, so weighted homogeneity can be checked structurally.
     """
 
-    __slots__ = ("nvars", "terms", "dweights")
+    __slots__ = ("nvars", "terms", "dweights", "_flat")
 
     def __init__(self, nvars, terms=None, dweights=None):
         self.nvars = nvars
         self.terms = dict(terms or {})
         self.dweights = dict(dweights or {})
+        self._flat = None
 
     @classmethod
     def zero(cls, nvars):
@@ -146,6 +147,7 @@ class MultiPoly:
         return MultiPoly(self.nvars, self.terms, self.dweights)
 
     def _accumulate(self, e, c, w):
+        self._flat = None
         if c == 0:
             return
         if e in self.terms:
@@ -197,25 +199,25 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def _compiled(self):
+        """(top exponent per variable, term list), built on first use; the
+        list holds (complex(c), ((var, k), ...) with k > 0) in ``terms`` order."""
+        if self._flat is None:
+            top = [max(col) for col in zip(*self.terms)] or [0] * self.nvars
+            self._flat = (top, [(complex(c), tuple((i, k) for i, k in enumerate(e) if k))
+                                for e, c in self.terms.items()])
+        return self._flat
+
     def evaluate(self, values) -> complex:
-        vals = [complex(v) for v in values]
-        total = 0.0 + 0j
-        for e, c in self.terms.items():
-            t = complex(c)
-            for x, k in zip(vals, e):
-                if k:
-                    t *= x**k
-            total += t
-        return total
+        return complex(_evaluate([self], values)[0][0])
 
     def monomial_scale(self, values) -> float:
         vals = [abs(complex(v)) for v in values]
         best = 0.0
-        for e, c in self.terms.items():
-            t = abs(complex(c))
-            for x, k in zip(vals, e):
-                if k:
-                    t *= x**k
+        for c, factors in self._compiled()[1]:
+            t = abs(c)
+            for i, k in factors:
+                t *= vals[i]**k
             best = max(best, t)
         return best
 
@@ -261,6 +263,26 @@ class MultiPoly:
                             for n, k in zip(names, e) if k)
             bits.append(f"({self.terms[e]}){'*' + mono if mono else ''}")
         return " + ".join(bits) or "0"
+
+
+def _evaluate(polys, values, pw=None):
+    """Values of ``polys`` at ``values`` as an array, and the power table
+    pw[i][k] = x_i**k they came from (pass it back for their partials).
+    Each term is t = c; t *= x**k ...; total += t, in ``terms`` order."""
+    flats = [p._compiled() for p in polys]
+    if pw is None:
+        top = map(max, zip(*(f[0] for f in flats)))
+        pw = [[x**k for k in range(d + 1)] for x, d in zip(map(complex, values), top)]
+    out = []
+    for _, terms in flats:
+        total = 0.0 + 0j
+        for c, factors in terms:
+            t = c
+            for i, k in factors:
+                t *= pw[i][k]
+            total += t
+        out.append(total)
+    return np.array(out), pw
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +443,10 @@ class SolveConfig:
     seed: int = 0
     max_starts: int = 1200
 
+    def __post_init__(self):
+        if self.max_starts < 0:
+            raise ValueError(f"max_starts must be >= 0, got {self.max_starts}")
+
 
 #: Newton steps per start, relative distance under which two roots are
 #: one, and residual (relative to the largest monomial) a root must beat
@@ -430,35 +456,35 @@ _RESIDUAL_TOL = 1e-10
 
 
 def _newton_system(polys, grads, v0):
-    """Root of the system from v0, or None; gradients only at accepted iterates."""
-    hit = _damped_newton(
-        lambda v: (np.array([p.evaluate(v) for p in polys]), None),
-        lambda v, f, _: np.array([[g.evaluate(v) for g in row] for row in grads]),
-        np.array(v0, dtype=complex), 1e-13, _NEWTON_ITERS, final_tol=1e-11)
+    """Root of the system from v0, or None; gradients only at accepted
+    iterates, from the power table of the residual there."""
+    flat = [g for row in grads for g in row]
+    hit = _damped_newton(lambda v: _evaluate(polys, v),
+                         lambda v, f, pw: _evaluate(flat, v, pw)[0].reshape(len(polys), -1),
+                         np.array(v0, dtype=complex), 1e-13, _NEWTON_ITERS, final_tol=1e-11)
     return None if hit is None else hit[0]
 
 
 def solve_polynomial_system(polys: list[MultiPoly], cfg: SolveConfig,
-                            expected: int | None = None) -> list[np.ndarray]:
+                            expected: int | None = None, grads=None) -> list[np.ndarray]:
     """Multistart :func:`~lamelab.elliptic._damped_newton` with dedup;
     deterministic under cfg.seed.
 
     Starts are complex Gaussians scaled by a radius from the largest
-    coefficient.  Stops as soon as ``expected`` distinct roots are found.
-    Root vectors come back sorted (by B, then lexicographically).
+    coefficient, drawn in one block.  Stops as soon as ``expected`` distinct
+    roots are found.  Root vectors come back sorted (by B, then
+    lexicographically).  The partials grads[i][j] are built unless given.
     """
     nv = polys[0].nvars
-    grads = [[p.partial(i) for i in range(nv)] for p in polys]
+    grads = grads or [[p.partial(i) for i in range(nv)] for p in polys]
     rng = np.random.default_rng(cfg.seed)
     big = max(max((abs(complex(c)) for c in p.terms.values()), default=1.0)
               for p in polys)
     radius = 2.0 + 1.5 * math.sqrt(big)
-    starts = []
-    for _ in range(cfg.max_starts):
-        v = rng.standard_normal(nv) + 1j * rng.standard_normal(nv)
-        v *= radius / 2.0
-        v[-1] *= radius / 2.0   # B can be larger
-        starts.append(v)
+    z = rng.standard_normal((cfg.max_starts, 2, nv))   # per start: nv real, nv imaginary
+    starts = z[:, 0] + 1j * z[:, 1]
+    starts *= radius / 2.0
+    starts[:, -1] *= radius / 2.0   # B can be larger
     roots: list[np.ndarray] = []
 
     def is_dup(v):
@@ -478,10 +504,6 @@ def solve_polynomial_system(polys: list[MultiPoly], cfg: SolveConfig,
     return roots
 
 
-def _system_scale(polys, v):
-    return max(p.monomial_scale(v) for p in polys)
-
-
 def solve_system(L: SourceDivisor, ctx: LatticeContext,
                  cfg: SolveConfig | None = None) -> list[LameParams]:
     """All log-free parameters for the divisor.
@@ -495,16 +517,16 @@ def solve_system(L: SourceDivisor, ctx: LatticeContext,
     cfg = cfg or SolveConfig()
     system = build_system(L, ctx)
     expected = degree_formula(L) if L.ell % 2 == 1 else None
-    roots = solve_polynomial_system(system, cfg, expected=expected)
     grads = [[p.partial(i) for i in range(system[0].nvars)] for p in system]
+    roots = solve_polynomial_system(system, cfg, expected=expected, grads=grads)
+    flat = [g for row in grads for g in row]
     out = []
     for v in roots:
-        resid = max(abs(p.evaluate(v)) for p in system)
-        scale = _system_scale(system, v)
-        if resid >= _RESIDUAL_TOL * (1.0 + scale):
+        f, pw = _evaluate(system, v)
+        resid = max(map(abs, f.tolist()))
+        if resid >= _RESIDUAL_TOL * (1.0 + max(p.monomial_scale(v) for p in system)):
             continue
-        J = np.array([[g.evaluate(v) for g in row] for row in grads])
-        sv = np.linalg.svd(J, compute_uv=False)
+        sv = np.linalg.svd(_evaluate(flat, v, pw)[0].reshape(len(system), -1), compute_uv=False)
         if expected is None and sv[-1] < 1e-6 * max(sv[0], 1.0):
             continue   # tangent direction present: sits on a curve component
         out.append(LameParams(A=list(v[:-1]), B=complex(v[-1]), residual=resid,

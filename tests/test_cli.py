@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -193,3 +196,22 @@ def test_monodromy_subcommand(tmp_path, capsys):
     assert payload["commutator_defect"] < 1e-6
     assert payload["params"]["A"] == sol["A"]
     assert len(payload["S1"]) == 4 and len(payload["S2"]) == 4
+
+
+def test_closed_stdout_exits_quietly():
+    # ``lamelab hecke ... | head -0``: the reader is gone before the write
+    import lamelab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lamelab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "lamelab.cli", "hecke", "--tau", "0.22+1.31i",
+             "--r", "0.75", "--s", "0.25"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert out.returncode == EXIT_OK
+    assert out.stderr == ""

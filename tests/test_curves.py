@@ -28,6 +28,7 @@ from lamelab.curves import (
     lame_ln_raw,
     lame_sk_raw,
 )
+from lamelab.elliptic import lattice_distance
 from lamelab.errors import RamifiedPoint
 from lamelab.green import hecke_Z
 
@@ -274,6 +275,24 @@ def test_find_type2_n2_green_equation():
         assert abs(t.zn - t.hecke) < 1e-8 * (1 + abs(t.hecke))
         rep = t.a.verify(ctx)
         assert rep["curve"] < 1e-8
+
+
+def test_find_type2_reports_canonical_points():
+    # each a_i in the fundamental cell, the points sorted by (r, s) and x, y
+    # permuted with them: on both tori the fiber search reaches
+    # representatives outside the cell
+    for tau in (TAU_TYPE2_N2, 0.375 + 1.25j):
+        ctx = make_context(tau)
+        sols = find_type2(2, ctx)
+        assert sols
+        for t in sols:
+            rs = [(p.r, p.s) for p in t.a.a]
+            assert rs == sorted(rs)
+            assert all(0.0 <= c < 1.0 for pair in rs for c in pair)
+            for p, x, y in zip(t.a.a, t.a.x, t.a.y):
+                wx, wy = weierstrass(p.z, ctx)
+                assert abs(wx - x) < 1e-8 * (1 + abs(x)) and abs(wy - y) < 1e-8 * (1 + abs(y))
+            assert lattice_distance(t.a.sigma() - t.sigma.z, ctx) < 1e-8
 
 
 def test_find_type2_period_integrals_imaginary():

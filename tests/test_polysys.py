@@ -1,4 +1,5 @@
 import math
+import pathlib
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -31,7 +32,13 @@ from lamelab.errors import (
     PartialEnumeration,
     PoleAtInteger,
 )
-from lamelab.polysys import l4_identity_scale, solve_polynomial_system
+from lamelab import polysys
+from lamelab.cli import EXIT_OK, EXIT_USAGE, main
+from lamelab.polysys import (
+    _evaluate,
+    l4_identity_scale,
+    solve_polynomial_system,
+)
 
 GENERIC_POINTS = [(0.13, 0.21), (0.54, 0.39), (0.82, 0.70)]
 
@@ -380,3 +387,122 @@ def test_symmetric_even_family_is_curve_of_solutions(ctx):
     # distinct parameters: genuinely one-dimensional, not a repeated point
     bs = {round(s.B.real, 6) + 1j * round(s.B.imag, 6) for s in fam}
     assert len(bs) > 10
+
+
+# -- compiled evaluation and the block draw -----------------------------------
+
+EVAL_CLASSES = ([1, 1, 1], [3, 1, 1], [1, 1, 1, 1, 1], [5, 3, 1], [3, 3, 3])
+EVAL_POINTS = GENERIC_POINTS + [(0.31, 0.63), (0.68, 0.06)]
+CLI_DIVISOR = "p=0.13,0.21:1;p=0.54,0.39:1;p=0.82,0.70:1"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _evaluate_reference(poly, values):
+    """The per-term dict walk MultiPoly.evaluate used to be, kept verbatim."""
+    vals = [complex(v) for v in values]
+    total = 0.0 + 0j
+    for e, c in poly.terms.items():
+        t = complex(c)
+        for x, k in zip(vals, e):
+            if k:
+                t *= x**k
+        total += t
+    return total
+
+
+def _monomial_scale_reference(poly, values):
+    vals = [abs(complex(v)) for v in values]
+    best = 0.0
+    for e, c in poly.terms.items():
+        t = abs(complex(c))
+        for x, k in zip(vals, e):
+            if k:
+                t *= x**k
+        best = max(best, t)
+    return best
+
+
+@pytest.mark.parametrize("weights", EVAL_CLASSES, ids=lambda w: "_".join(map(str, w)))
+def test_compiled_evaluation_is_bit_identical(ctx, weights):
+    L = SourceDivisor.from_rs(EVAL_POINTS[:len(weights)], weights, ctx)
+    system = build_system(L, ctx)
+    nv = system[0].nvars
+    grads = [[p.partial(i) for i in range(nv)] for p in system]
+    rng = np.random.default_rng(sum(weights))
+    for _ in range(60):
+        v = (rng.standard_normal(nv) + 1j * rng.standard_normal(nv)) * 3.0
+        v[-1] *= 4.0
+        f, pw = _evaluate(system, v)
+        assert f.tolist() == [_evaluate_reference(p, v) for p in system]
+        assert [p.evaluate(v) for p in system] == f.tolist()
+        # the partials read the system's power table, as the solver does
+        J = _evaluate([g for row in grads for g in row], v, pw)[0].reshape(nv, nv)
+        want = [[_evaluate_reference(g, v) for g in row] for row in grads]
+        assert J.tolist() == want
+        assert [[g.evaluate(v) for g in row] for row in grads] == want
+        assert [p.monomial_scale(v) for p in system] == \
+            [_monomial_scale_reference(p, v) for p in system]
+
+
+def test_compiled_evaluation_of_exact_top_terms():
+    rng = np.random.default_rng(6)
+    for ell in range(7):
+        q = top_term_closed(ell)
+        for _ in range(20):
+            v = list(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            assert q.evaluate(v) == _evaluate_reference(q, v)
+            # a later _accumulate must invalidate the compiled term list
+            p = q.copy()
+            p.evaluate(v)
+            p._accumulate((0, 0), Fr(5, 3), 0)
+            assert p.evaluate(v) == _evaluate_reference(p, v)
+
+
+def _starts_reference(polys, cfg):
+    """The per-start draw loop the solver used before the block draw."""
+    nv = polys[0].nvars
+    rng = np.random.default_rng(cfg.seed)
+    big = max(max((abs(complex(c)) for c in p.terms.values()), default=1.0)
+              for p in polys)
+    radius = 2.0 + 1.5 * math.sqrt(big)
+    starts = []
+    for _ in range(cfg.max_starts):
+        v = rng.standard_normal(nv) + 1j * rng.standard_normal(nv)
+        v *= radius / 2.0
+        v[-1] *= radius / 2.0   # B can be larger
+        starts.append(v)
+    return starts
+
+
+@pytest.mark.parametrize("weights", ([1, 1, 1], [1, 1, 1, 1, 1]))
+@pytest.mark.parametrize("seed", (0, 101))
+def test_block_start_draw_matches_per_start_loop(ctx, monkeypatch, weights, seed):
+    L = SourceDivisor.from_rs(EVAL_POINTS[:len(weights)], weights, ctx)
+    system = build_system(L, ctx)
+    for max_starts in (0, 40):
+        cfg = SolveConfig(seed=seed, max_starts=max_starts)
+        drawn = []
+        monkeypatch.setattr(polysys, "_newton_system",
+                            lambda polys, grads, v0: drawn.append(v0.copy()))
+        assert solve_polynomial_system(system, cfg) == []
+        want = _starts_reference(system, cfg)
+        assert len(drawn) == len(want) == max_starts
+        for a, b in zip(drawn, want):
+            assert np.array_equal(a, b)
+
+
+def test_negative_max_starts_is_rejected(ctx, L111):
+    with pytest.raises(ValueError):
+        SolveConfig(max_starts=-1)
+    assert main(["solve", "--tau", "0.22+1.31i", "--divisor", CLI_DIVISOR,
+                 "--max-starts", "-1"]) == EXIT_USAGE
+    with pytest.raises(PartialEnumeration) as err:
+        solve_system(L111, ctx, SolveConfig(max_starts=0))
+    assert err.value.solutions == []
+
+
+def test_readme_solve_check_monodromy_json_is_unchanged(capsys):
+    # the README example, byte for byte as the per-term evaluator gave it
+    assert main(["solve", "--tau", "0.22+1.31i", "--divisor", CLI_DIVISOR,
+                 "--check-monodromy"]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "solve_l3_check_monodromy.json").read_text()
