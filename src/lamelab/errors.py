@@ -50,10 +50,6 @@ class PathTooClose(LamelabError):
     """Integration path enters the clearance disk of a singular point."""
 
 
-class StepUnderflow(LamelabError):
-    """Adaptive integrator could not meet the local error target."""
-
-
 class Inconsistent(LamelabError):
     """Monodromy data violates the homotopy relation beyond tolerance."""
 

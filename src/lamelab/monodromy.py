@@ -1,13 +1,14 @@
 """Numerical monodromy of generalized Lame equations on the torus.
 
-The second-order equation w'' = I(z) w is integrated as a first-order
-system along polylines and, for local certificates, smooth circles;
-straight period segments acquire counterclockwise semicircular detours
-around any singular translate inside the corridor, with the singularity
-passed on the left, which fixes the homotopy classes of the two period
-loops.  Since sum A_i = 0 the potential is elliptic and
-the transported frames identify directly, so the period transports are
-the monodromy matrices S_1, S_2.
+The frame of w'' = I(z) w is carried along polylines by Taylor steps,
+each a fixed fraction of the distance to the nearest singular translate;
+local certificates step around a circle along chords.  Straight period
+segments acquire counterclockwise semicircular detours around any
+singular translate inside the corridor, with the singularity passed on
+the left, which fixes the homotopy classes of the two period loops.
+Since sum A_i = 0 the potential is elliptic and the transported frames
+identify directly, so the period transports are the monodromy matrices
+S_1, S_2.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .elliptic import (
     POLE_CLEARANCE,
     LatticeContext,
     TorusPoint,
+    _wp_zeta,
     lattice_distance,
     lattice_distance_many,
     weierstrass,
@@ -37,17 +39,20 @@ from .errors import (
     NotDiagonalizable,
     PathTooClose,
     PoleProximity,
-    StepUnderflow,
 )
 from .polysys import LameParams, SourceDivisor
 
 CLEARANCE_RADIUS = 1e-2
 
+#: Taylor order and step fraction: a step covers at most _STEP of the distance
+#: to the nearest singular translate, so truncation errs by ~_STEP**_ORDER
+_ORDER = 36
+_STEP = 0.3
+
 
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first transport:
-    scipy is most of the package's import time and only this module
-    integrates."""
+    """``scipy.integrate.solve_ivp``, imported on first use; nothing in
+    the package integrates with it, it is the tests' DOP853 reference."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
     return scipy_solve_ivp(*args, **kwargs)
 
@@ -59,7 +64,7 @@ class MonodromyPair:
     S1: np.ndarray
     S2: np.ndarray
     base: complex
-    residual: float   # worst Wronskian drift over the two transports
+    residual: float   # worst |det S_i - 1| over the two transports
 
     def commutator(self) -> np.ndarray:
         return np.linalg.inv(self.S2) @ np.linalg.inv(self.S1) @ self.S2 @ self.S1
@@ -152,57 +157,92 @@ def path_with_detours(z0: complex, omega: complex, L: SourceDivisor,
     return path
 
 
-def _require_path_clear(zs: np.ndarray, L: SourceDivisor, ctx: LatticeContext,
-                        clearance: float) -> None:
-    """Raise PathTooClose if a sample point of the path is within
-    ``clearance`` of a source translate."""
-    src = np.array([p.z for p in L.points])
-    dist = lattice_distance_many(np.subtract.outer(zs, src), ctx).min(axis=1)
-    close = np.flatnonzero(dist < clearance)
-    if close.size:
-        k = close[0]
-        raise PathTooClose(
-            f"path point {complex(zs[k])} is {dist[k]:.2e} from a singular translate")
+def _walk(pts: np.ndarray, L: SourceDivisor, ctx: LatticeContext,
+          clearance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor centres z_j and steps h_j along the polyline ``pts``: a step
+    covers ``_STEP`` of the distance to the nearest source translate, or
+    the rest of its segment.  PoleProximity if a centre is within
+    ``clearance`` of a source or a step cannot move it."""
+    src = [p.z for p in L.points]
+    nodes = [complex(pts[0])]
+    for zb in pts[1:].tolist():
+        while nodes[-1] != zb:
+            z = nodes[-1]
+            rho = min(lattice_distance(z - p, ctx) for p in src)
+            step = _STEP * rho / abs(zb - z)
+            nodes.append(zb if step >= 1.0 else z + step * (zb - z))
+            if not rho >= clearance or nodes[-1] == z:
+                raise PoleProximity(f"z={z} within clearance of a source translate")
+    z = np.array(nodes)
+    return z[:-1], np.diff(z)
 
 
-def _integrate(curve, t_end: float, Y: np.ndarray, L: SourceDivisor,
-               params: LameParams, ctx: LatticeContext, clearance: float,
-               rtol: float, atol: float) -> np.ndarray:
-    """Carry the frame Y = [[w], [w']] (2x2) along z = curve(t), t in
-    [0, t_end]; ``curve(t)`` returns (z, dz/dt)."""
-    def rhs(t, y):
-        z, dz = curve(t)
-        Iv = potential(z, L, params, ctx, clearance=clearance)
-        return dz * np.array((y[2], y[3], Iv * y[0], Iv * y[1]))
+def _potential_rows(z: np.ndarray, h: np.ndarray, L: SourceDivisor,
+                    params: LameParams, ctx: LatticeContext) -> np.ndarray:
+    """``rows[j, k] = I_k(z_j) h_j**k``, k <= _ORDER: the Taylor rows of I.
 
-    sol = solve_ivp(rhs, (0.0, t_end), Y.reshape(-1), method="DOP853",
-                    rtol=rtol, atol=atol)
-    if not sol.success:
-        raise StepUnderflow(f"integrator failed from {curve(0.0)[0]}: {sol.message}")
-    return sol.y[:, -1].reshape(2, 2)
+    One kernel call gives wp, zeta and wp' at every (centre, source)
+    difference; ``p'' = 6 p^2 - g2/2`` gives every wp row at once and
+    the zeta rows are ``-P_{k-1} / k``.
+    """
+    if len(params.A) != L.N:
+        raise ValueError(f"expected {L.N} accessory parameters, got {len(params.A)}")
+    p0, z0, p1 = _wp_zeta(z[:, None] - np.array([p.z for p in L.points]), ctx, prime=True)
+    h = h[:, None]
+    P = np.zeros(p0.shape + (_ORDER + 1,), dtype=complex)
+    P[..., 0], P[..., 1] = p0, p1 * h
+    for k in range(_ORDER - 1):
+        conv = 6.0 * np.einsum("mij,mij->mi", P[..., : k + 1], P[..., k::-1])
+        P[..., k + 2] = h * h * (conv - (ctx.g2 / 2.0 if k == 0 else 0.0)) / ((k + 1) * (k + 2))
+    Z = np.insert(-P[..., :-1] * h[..., None] / np.arange(1, _ORDER + 1), 0, z0, axis=-1)
+    eta = np.array(L.weights) / 2.0
+    rows = eta * (eta + 1.0) @ P + np.array(params.A, dtype=complex) @ Z
+    rows[:, 0] += params.B
+    return rows
+
+
+def _step_matrices(z: np.ndarray, h: np.ndarray, L: SourceDivisor,
+                   params: LameParams, ctx: LatticeContext) -> np.ndarray:
+    """The 2x2 matrices carrying (w, w') over the steps z_j -> z_j + h_j.
+
+    In t = (z - z_j) / h_j the equation is w_tt = h^2 I w, so the Taylor
+    coefficients of the two solutions with (w, w') = (1, 0) and (0, 1)
+    follow from ``(k+2)(k+1) c_{k+2} = sum_j h^2 I_j h^j c_{k-j}``.
+    """
+    I = _potential_rows(z, h, L, params, ctx) * (h * h)[:, None]
+    c = np.zeros((len(z), _ORDER + 1, 2), dtype=complex)
+    c[:, 0, 0], c[:, 1, 1] = 1.0, h
+    for k in range(_ORDER - 1):
+        c[:, k + 2] = np.einsum("mj,mjs->ms", I[:, : k + 1], c[:, k::-1]) / ((k + 1) * (k + 2))
+    return np.stack([c.sum(axis=1), np.arange(_ORDER + 1.0) @ c / h[:, None]], axis=1)
+
+
+def _carry(pts: np.ndarray, L: SourceDivisor, params: LameParams,
+           ctx: LatticeContext, clearance: float) -> np.ndarray:
+    """Product of the step matrices along the polyline ``pts``."""
+    Y = np.eye(2, dtype=complex)
+    for T in _step_matrices(*_walk(pts, L, ctx, clearance), L, params, ctx):
+        Y = T @ Y
+    return Y
 
 
 def transport(path, L: SourceDivisor, params: LameParams, ctx: LatticeContext,
-              rtol: float = 1e-12, atol: float = 1e-12,
               clearance: float | None = None) -> np.ndarray:
     """Fundamental 2x2 matrix carrying (w, w') along the polyline.
 
-    The Wronskian of the transported frame is conserved (the system is
-    traceless); its drift is the integration quality measure used by
-    :func:`monodromy_pair`.
+    PathTooClose if one of 9 points per segment is within ``clearance``
+    of a source translate.  The frame's Wronskian is conserved (the
+    system is traceless); :func:`monodromy_pair` reports its drift.
     """
     if clearance is None:
         clearance = 0.55 * CLEARANCE_RADIUS
     pts = np.array([complex(p) for p in path])
-    fracs = np.linspace(0.0, 1.0, 9)
-    _require_path_clear((pts[:-1, None] + fracs * np.diff(pts)[:, None]).ravel(),
-                        L, ctx, clearance)
-    Y = np.eye(2, dtype=complex)
-    for za, zb in zip(pts[:-1].tolist(), pts[1:].tolist()):
-        dz = zb - za
-        Y = _integrate(lambda t, za=za, dz=dz: (za + t * dz, dz), 1.0, Y,
-                       L, params, ctx, 0.5 * clearance, rtol, atol)
-    return Y
+    zs = (pts[:-1, None] + np.linspace(0.0, 1.0, 9) * np.diff(pts)[:, None]).ravel()
+    dist = lattice_distance_many(np.subtract.outer(zs, [p.z for p in L.points]), ctx).min(axis=1)
+    if (dist < clearance).any():
+        k = int(np.argmax(dist < clearance))
+        raise PathTooClose(f"path point {zs[k]} is {dist[k]:.2e} from a singular translate")
+    return _carry(pts, L, params, ctx, 0.5 * clearance)
 
 
 def wronskian_drift(M: np.ndarray) -> float:
@@ -244,7 +284,7 @@ def choose_base_point(L: SourceDivisor, ctx: LatticeContext) -> complex:
 
 
 def monodromy_pair(L: SourceDivisor, params: LameParams, ctx: LatticeContext,
-                   z0: complex | None = None, rtol: float = 1e-12) -> MonodromyPair:
+                   z0: complex | None = None) -> MonodromyPair:
     """S_1 along z0 -> z0 + 1 and S_2 along z0 -> z0 + tau.
 
     Requires sum A_i ~ 0 so the potential is genuinely elliptic and the
@@ -254,41 +294,35 @@ def monodromy_pair(L: SourceDivisor, params: LameParams, ctx: LatticeContext,
         raise ValueError("sum A_i must vanish for an elliptic potential")
     if z0 is None:
         z0 = choose_base_point(L, ctx)
-    S = []
-    drift = 0.0
-    for omega in (1.0 + 0j, ctx.tau):
-        path = path_with_detours(z0, omega, L, ctx)
-        M = transport(path, L, params, ctx, rtol=rtol, atol=rtol)
-        drift = max(drift, wronskian_drift(M / np.sqrt(np.linalg.det(M))))
-        S.append(M)
-    return MonodromyPair(S1=S[0], S2=S[1], base=z0, residual=drift)
+    S = [transport(path_with_detours(z0, omega, L, ctx), L, params, ctx)
+         for omega in (1.0 + 0j, ctx.tau)]
+    return MonodromyPair(S1=S[0], S2=S[1], base=z0,
+                         residual=max(wronskian_drift(M) for M in S))
 
 
 def local_monodromy(p_i, L: SourceDivisor, params: LameParams,
                     ctx: LatticeContext, radius: float | None = None) -> np.ndarray:
     """Transport around the counterclockwise circle
-    z(theta) = p_i + radius e^{i theta}, integrated as one smooth path.
+    z(theta) = p_i + radius e^{i theta}, stepped along chords whose end
+    points lie on the circle, each shorter than ``_STEP * radius``.
 
     For log-free parameters this must equal (-1)^{l_i} I, the numerical
     certificate that no logarithmic branch is present.
     """
     zc = p_i.z if isinstance(p_i, TorusPoint) else complex(p_i)
+    others = [d for d in (lattice_distance(zc - p.z, ctx) for p in L.points) if d > 1e-9]
     if radius is None:
-        radius = CLEARANCE_RADIUS
-        for p in L.points:
-            d = lattice_distance(zc - p.z, ctx)
-            if d > 1e-9:
-                radius = min(radius, 0.4 * d)
+        radius = min([CLEARANCE_RADIUS] + [0.4 * d for d in others])
     clearance = 0.5 * radius
-    theta = np.linspace(0.0, 2.0 * math.pi, 385)
-    _require_path_clear(zc + radius * np.exp(1j * theta), L, ctx, clearance)
-
-    def circle(t):
-        e = radius * cmath.exp(1j * t)
-        return zc + e, 1j * e
-
-    return _integrate(circle, 2.0 * math.pi, np.eye(2, dtype=complex), L, params, ctx,
-                      0.5 * clearance, rtol=1e-12, atol=1e-12)
+    # exact: the circle is radius from its centre and d - radius from a source
+    # at lattice distance d (negative when the circle encloses it)
+    gap = min([radius] + [d - radius for d in others])
+    if gap <= clearance:
+        raise PathTooClose(f"circle of radius {radius:.2e} is {gap:.2e} from a singular translate")
+    n = math.ceil(2.0 * math.pi / _STEP)
+    pts = zc + radius * np.exp(2j * math.pi * np.arange(n + 1) / n)
+    pts[-1] = pts[0]
+    return _carry(pts, L, params, ctx, 0.5 * clearance)
 
 
 def classify_projective(mp: MonodromyPair, tol: float = 1e-6) -> str:

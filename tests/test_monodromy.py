@@ -22,6 +22,7 @@ from lamelab import (
     point_on_Xn,
     potential,
     solve_system,
+    symmetric_reduce,
     transport,
     u_density,
     unitarizable,
@@ -36,10 +37,15 @@ from lamelab.errors import (
     PathTooClose,
     PoleProximity,
 )
-from lamelab.elliptic import POLE_CLEARANCE, lattice_distance
+from lamelab import monodromy
+from lamelab.elliptic import POLE_CLEARANCE, lattice_distance, taylor_data
 from lamelab.monodromy import (
+    CLEARANCE_RADIUS,
     MonodromyPair,
     _clear_period_bases,
+    _potential_rows,
+    _step_matrices,
+    _walk,
     choose_base_point,
     path_with_detours,
     period_crosscheck,
@@ -162,6 +168,128 @@ def test_transport_rejects_close_paths(ctx, L111, roots_l3):
         transport([p - 0.002, p + 0.002], L111, roots_l3[0], ctx)
 
 
+def test_transport_pole_proximity_between_samples(ctx, L111, roots_l3):
+    # the 9 samples, 0.015 apart, clear 0.0055; the segment passes 0.002 away
+    p = L111.points[0].z + 0.002j
+    with pytest.raises(PoleProximity):
+        transport([p - 0.0075, p + 0.1125], L111, roots_l3[0], ctx)
+    # with no clearance the steps shrink onto the source until z stops moving
+    p = L111.points[0].z
+    with pytest.raises(PoleProximity):
+        transport([p - 0.05, p + 0.75], L111, roots_l3[0], ctx, clearance=1e-300)
+
+
+def _integrate_reference(curve, t_end, Y, L, params, ctx, clearance, rtol, atol):
+    """The DOP853 integrator that the Taylor stepper replaced, verbatim but
+    for the failure, which raised the integrator's own error."""
+    def rhs(t, y):
+        z, dz = curve(t)
+        Iv = monodromy.potential(z, L, params, ctx, clearance=clearance)
+        return dz * np.array((y[2], y[3], Iv * y[0], Iv * y[1]))
+
+    sol = monodromy.solve_ivp(rhs, (0.0, t_end), Y.reshape(-1), method="DOP853",
+                              rtol=rtol, atol=atol)
+    if not sol.success:
+        raise AssertionError(f"integrator failed from {curve(0.0)[0]}: {sol.message}")
+    return sol.y[:, -1].reshape(2, 2)
+
+
+def _pair_reference(L, params, ctx):
+    z0 = choose_base_point(L, ctx)
+    out = []
+    for omega in (1.0 + 0j, ctx.tau):
+        pts = [complex(p) for p in path_with_detours(z0, omega, L, ctx)]
+        Y = np.eye(2, dtype=complex)
+        for za, zb in zip(pts[:-1], pts[1:]):
+            Y = _integrate_reference(lambda t, za=za, dz=zb - za: (za + t * dz, dz), 1.0, Y,
+                                     L, params, ctx, 0.275 * CLEARANCE_RADIUS, 1e-12, 1e-12)
+        out.append(Y)
+    return MonodromyPair(S1=out[0], S2=out[1], base=z0, residual=0.0)
+
+
+def _local_reference(p, L, params, ctx):
+    radius = min([CLEARANCE_RADIUS] + [0.4 * lattice_distance(p.z - q.z, ctx)
+                                       for q in L.points if q is not p])
+
+    def circle(t):
+        e = radius * cmath.exp(1j * t)
+        return p.z + e, 1j * e
+
+    return _integrate_reference(circle, 2.0 * math.pi, np.eye(2, dtype=complex), L, params,
+                                ctx, 0.25 * radius, 1e-12, 1e-12)
+
+
+@pytest.fixture(scope="module")
+def criterion7_roots(ctx):
+    """The root sets of acceptance criterion 7."""
+    L3 = SourceDivisor.from_rs(GENERIC_POINTS, [1, 1, 1], ctx)
+    L311 = SourceDivisor.from_rs(GENERIC_POINTS, [3, 1, 1], ctx)
+    L1 = SourceDivisor.from_rs([(0.0, 0.0)], [3], ctx)
+    p = 0.23 + 0.31 * ctx.tau
+    Lsym = SourceDivisor(points=(TorusPoint.from_z(p, ctx), TorusPoint.from_z(-p, ctx),
+                                 TorusPoint.from_rs(0.0, 0.0, ctx)), weights=(1, 1, 1))
+    return [(L3, solve_system(L3, ctx, SolveConfig(seed=1, max_starts=1200))),
+            (L311, solve_system(L311, ctx, SolveConfig(seed=1, max_starts=2500))),
+            (L1, solve_system(L1, ctx, SolveConfig(seed=1, max_starts=500))),
+            (Lsym, symmetric_reduce(Lsym, ctx, SolveConfig(seed=2, max_starts=400))[2])]
+
+
+def test_taylor_transport_matches_dop853_on_criterion7_roots(ctx, criterion7_roots):
+    count = 0
+    for L, sols in criterion7_roots:
+        for params in sols:
+            mp, ref = monodromy_pair(L, params, ctx), _pair_reference(L, params, ctx)
+            for S, R in ((mp.S1, ref.S1), (mp.S2, ref.S2)):
+                assert np.max(np.abs(S - R)) < 1e-10 * np.max(np.abs(R))
+            assert classify_projective(mp) == classify_projective(ref) == "K4"
+            for p in L.points:
+                M = local_monodromy(p, L, params, ctx)
+                assert np.max(np.abs(M - _local_reference(p, L, params, ctx))) < 1e-9
+            count += 1
+    assert count == 16
+
+
+def _steps(L, params, ctx):
+    z0 = choose_base_point(L, ctx)
+    for omega in (1.0 + 0j, ctx.tau):
+        yield _walk(np.array(path_with_detours(z0, omega, L, ctx)), L, ctx,
+                    0.275 * CLEARANCE_RADIUS)
+
+
+def test_potential_rows_match_potential_and_taylor_data(ctx, criterion7_roots):
+    for L, sols in criterion7_roots:
+        params = sols[0]
+        for z, h in _steps(L, params, ctx):
+            rows = _potential_rows(z, np.ones_like(h), L, params, ctx)
+            for zj, row in zip(z, rows):
+                want = potential(zj, L, params, ctx)
+                assert abs(row[0] - want) < 1e-13 * abs(want)
+            rows = _potential_rows(z, h, L, params, ctx)
+            order = np.arange(rows.shape[1])
+            for zj, hj, row in list(zip(z, h, rows))[::5]:
+                want = complex(params.B) * (order == 0)
+                for p, w, a in zip(L.points, L.weights, params.A):
+                    want = want + (w / 2.0) * (w / 2.0 + 1.0) * taylor_data(
+                        "wp", zj, p.z, order[-1], ctx) + a * taylor_data(
+                        "zeta", zj, p.z, order[-1], ctx)
+                want = want * hj ** order
+                assert np.max(np.abs(row - want)) < 1e-11 * np.max(np.abs(want))
+
+
+def test_step_matrices_are_unimodular(ctx, criterion7_roots):
+    for L, sols in criterion7_roots:
+        for params in sols:
+            for z, h in _steps(L, params, ctx):
+                T = _step_matrices(z, h, L, params, ctx)
+                assert np.max(np.abs(np.linalg.det(T) - 1.0)) < 1e-13
+
+
+def test_residual_is_worst_determinant_defect(ctx, criterion7_roots):
+    for L, sols in criterion7_roots:
+        mp = monodromy_pair(L, sols[0], ctx)
+        assert mp.residual == max(abs(np.linalg.det(S) - 1.0) for S in (mp.S1, mp.S2))
+
+
 def _choose_base_point_reference(L, ctx):
     tau = ctx.tau
     best, best_d = None, -1.0
@@ -207,6 +335,24 @@ def test_import_defers_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(lamelab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, lamelab, lamelab.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_transport_runs_without_scipy():
+    import lamelab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lamelab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys\n"
+            "from lamelab import *\n"
+            "ctx = make_context(0.22 + 1.31j)\n"
+            "L = SourceDivisor.from_rs([(0.0, 0.0)], [2], ctx)\n"
+            "params = LameParams(A=[0.0], B=0.83 + 0.41j)\n"
+            "monodromy_pair(L, params, ctx)\n"
+            "local_monodromy(L.points[0], L, params, ctx)\n"
+            "print('scipy' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "False"
@@ -264,6 +410,16 @@ def test_local_monodromy_matches_polyline_transport(ctx, L111, roots_l3):
 def test_local_monodromy_rejects_circle_near_source(ctx, L111, roots_l3):
     with pytest.raises(PathTooClose):
         local_monodromy(L111.points[0], L111, roots_l3[0], ctx, radius=0.45)
+
+
+def test_local_monodromy_clearance_test_is_exact(ctx, L111, roots_l3):
+    # the circle clears the nearest other source by d - r, against r / 2
+    p = L111.points[0]
+    d = min(lattice_distance(p.z - q.z, ctx) for q in L111.points[1:])
+    with pytest.raises(PathTooClose):
+        local_monodromy(p, L111, roots_l3[0], ctx, radius=d / 1.5 * (1 + 1e-9))
+    M = local_monodromy(p, L111, roots_l3[0], ctx, radius=d / 1.5 * (1 - 1e-9))
+    assert np.max(np.abs(M + np.eye(2))) < 1e-5
 
 
 def test_local_monodromy_even_weight_identity(ctx):
