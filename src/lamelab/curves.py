@@ -325,12 +325,15 @@ def _is_two_torsion(r: float, s: float, tol: float = 1e-8) -> bool:
     return False
 
 
-def _fiber_over_sigma(sigma: complex, ctx: LatticeContext, grid: int = 14) -> list[XnPoint]:
+def _fiber_over_sigma(sigma: complex, ctx: LatticeContext) -> list[XnPoint]:
     """All points of X_2 above sigma under the addition map.
 
-    Works in the a_1 chart: a_2 = sigma - a_1 and the curve equation
-    becomes h(a) = wp'(a) + wp'(sigma - a) = 0, an order-6 elliptic
-    equation whose zeros pair up under a_1 <-> a_2.
+    With y_2 = -y_1, x_1 + x_2 = B/3 and x_1 x_2 = B^2/9 - g2/4 on X_2,
+    the addition theorem clears to B^3 - 9 wp(sigma) B^2 + 27 (wp(sigma) g2
+    + g3) = 0.  Each root gives a_1 = +-wp^{-1}(x_1), signed so that
+    wp(sigma - a_1) is nearer x_2, and one Newton polish on h(a) = wp'(a)
+    + wp'(sigma - a) relative to |y_1|, which is large near the lattice.
+    Roots with a_1 or a_2 inside the pole clearance are skipped.
     """
     def residual(a):
         v1, v2 = _wp_clear(a, ctx), _wp_clear(sigma - a, ctx)
@@ -339,23 +342,26 @@ def _fiber_over_sigma(sigma: complex, ctx: LatticeContext, grid: int = 14) -> li
         return v1[1] + v2[1], (v1, v2)
 
     def slope(a, f, vals):
-        (p1, _), (p2, _) = vals
-        return (6.0 * p1**2 - ctx.g2 / 2.0) - (6.0 * p2**2 - ctx.g2 / 2.0)
+        return 6.0 * (vals[0][0] ** 2 - vals[1][0] ** 2)   # wp'' = 6 wp^2 - g2/2
 
-    sols = []
-    for rr in np.linspace(0.05, 0.95, grid):
-        for ss in np.linspace(0.05, 0.95, grid):
-            hit = _damped_newton(residual, slope, rr + ss * ctx.tau, 1e-11, 60, cap=0.45)
-            if hit is None:
-                continue
-            a = hit[0]
-            # dedup modulo the lattice and the swap a <-> sigma - a
-            if not any(lattice_distance(c - b, ctx) < 1e-6
-                       for b, _ in sols for c in (a, sigma - a)):
-                sols.append((a, hit[1][1]))
-    return [XnPoint(n=2, a=[TorusPoint.from_z(a1, ctx), TorusPoint.from_z(sigma - a1, ctx)],
-                    x=[x1, x2], y=[y1, y2], B=3.0 * (x1 + x2), residual=abs(y1 + y2))
-            for a1, ((x1, y1), (x2, y2)) in sols]
+    def gap(a, x2):
+        v = _wp_clear(sigma - a, ctx)
+        return math.inf if v is None else abs(v[0] - x2)
+
+    w, g2, g3 = weierstrass(sigma, ctx)[0], ctx.g2, ctx.g3
+    out = []
+    for B in np.roots([1.0, -9.0 * w, 0.0, 27.0 * (w * g2 + g3)]):
+        x1, x2 = np.roots([1.0, -B / 3.0, B * B / 9.0 - g2 / 4.0])
+        a = wp_inverse(x1, ctx).z
+        a = min((a, -a), key=lambda c: gap(c, x2))
+        tol = 1e-11 * (1.0 + abs(cmath.sqrt(4.0 * x1**3 - g2 * x1 - g3)))
+        hit = _damped_newton(residual, slope, a, tol, 60, cap=0.45)
+        if hit is None:
+            continue
+        a, (f, ((x1, y1), (x2, y2))) = hit
+        out.append(XnPoint(n=2, a=[TorusPoint.from_z(a, ctx), TorusPoint.from_z(sigma - a, ctx)],
+                           x=[x1, x2], y=[y1, y2], B=3.0 * (x1 + x2), residual=abs(f)))
+    return out
 
 
 def _fiber_over_sigma_n3(sigma: complex, ctx: LatticeContext) -> list[XnPoint]:
@@ -399,20 +405,20 @@ def _fiber_over_sigma_n3(sigma: complex, ctx: LatticeContext) -> list[XnPoint]:
     return [pt for _, pt in sols]
 
 
-def sigma_n_degree_probe(n: int, sigma0, ctx: LatticeContext, grid: int = 14) -> int:
+def sigma_n_degree_probe(n: int, sigma0, ctx: LatticeContext) -> int:
     """Number of distinct B with sigma_n(a(B)) = sigma0 (n = 2: expect 3).
 
-    Enumerates the fiber in the a-chart, where the count is robust, and
-    collapses a / -a to the same B.  n = 1 returns 1 (identity map).
+    For n = 2 the B are the roots of the cubic behind
+    :func:`_fiber_over_sigma` whose fiber points clear the lattice, counted
+    once each.  n = 1 returns 1 (identity map).
     """
     sig = sigma0.z if isinstance(sigma0, TorusPoint) else complex(sigma0)
     if n == 1:
         return 1
     if n != 2:
         raise ValueError("degree probe implemented for n in {1, 2}")
-    pts = _fiber_over_sigma(sig, ctx, grid=grid)
     bs: list[complex] = []
-    for p in pts:
+    for p in _fiber_over_sigma(sig, ctx):
         if not any(abs(p.B - b) < 1e-6 * (1.0 + abs(b)) for b in bs):
             bs.append(p.B)
     return len(bs)
@@ -443,11 +449,11 @@ def find_type2(n: int, ctx: LatticeContext, grid: int = 64,
     matching a on X_n; every returned a satisfies sum grad G(a_i) ~ 0.
 
     n = 1: the zeros are the extra critical points of G, and a = sigma.
-    n = 2: zeros of W_2(Z) located by scanning + Newton, then the fiber
-    point above sigma whose z_2 value equals Z(sigma).  An empty list is
-    a meaningful outcome (e.g. rectangular tori at n = 1).  n = 3 is
-    available behind ``allow_higher`` with best-effort fiber enumeration
-    and no count guarantee.
+    n = 2: zeros of W_2(Z) located by scanning + Newton, then, of the
+    three fiber points above sigma from a cubic in B, the one whose z_2
+    value equals Z(sigma).  An empty list is a meaningful outcome (e.g.
+    rectangular tori at n = 1).  n = 3 is available behind ``allow_higher``
+    with best-effort fiber enumeration and no count guarantee.
     """
     if grid < 64:
         raise ValueError("grid must be >= 64")
@@ -504,32 +510,25 @@ def find_type2(n: int, ctx: LatticeContext, grid: int = 64,
         r1, s1 = hit[0][0] % 1.0, hit[0][1] % 1.0
         if _is_two_torsion(r1, s1):
             continue
-        dup = False
         for (ra, sa) in zeros:
             dr = min(abs(r1 - ra), 1 - abs(r1 - ra))
             ds = min(abs(s1 - sa), 1 - abs(s1 - sa))
             if math.hypot(dr, ds) < 1e-6:
-                dup = True
-        if not dup:
+                break
+        else:
             zeros.append((r1, s1))
     out = []
     for (r1, s1) in zeros:
         sig_pt = TorusPoint.from_rs(r1, s1, ctx)
         zval = hecke_Z(r1, s1, ctx)
-        if n == 2:
-            fiber = _fiber_over_sigma(sig_pt.z, ctx)
-        else:
-            fiber = _fiber_over_sigma_n3(sig_pt.z, ctx)
-        best, best_d = None, math.inf
-        for cand in fiber:
-            d = abs(zn_value(cand, ctx) - zval)
-            if d < best_d:
-                best, best_d = cand, d
-        if best is None or best_d > 1e-6 * (1.0 + abs(zval)):
+        fiber = (_fiber_over_sigma if n == 2 else _fiber_over_sigma_n3)(sig_pt.z, ctx)
+        best_zn, best = min(((zn_value(cand, ctx), cand) for cand in fiber),
+                            key=lambda t: abs(t[0] - zval), default=(math.inf, None))
+        if abs(best_zn - zval) > 1e-6 * (1.0 + abs(zval)):
             continue
         best = best.canonical(ctx)   # one form per point, whatever Newton reached
         defect = abs(sum(hecke_Z(p.r, p.s, ctx) for p in best.a)) / (2.0 * math.pi)
-        out.append(Type2Solution(sigma=sig_pt, a=best, zn=zn_value(best, ctx),
+        out.append(Type2Solution(sigma=sig_pt, a=best, zn=best_zn,
                                  hecke=zval, green_defect=defect))
     out.sort(key=lambda t: (round(t.sigma.r, 9), round(t.sigma.s, 9)))
     return out

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lamelab import (
     TorusPoint,
@@ -23,13 +25,15 @@ from lamelab import (
 )
 from lamelab.curves import (
     Wn_monomial_scale,
+    XnPoint,
+    _fiber_over_sigma,
     _wn,
     hermite_halphen_logderiv,
     lame_ln_raw,
     lame_sk_raw,
 )
-from lamelab.elliptic import lattice_distance
-from lamelab.errors import RamifiedPoint
+from lamelab.elliptic import _damped_newton, _wp_clear, lattice_distance
+from lamelab.errors import NoSignPattern, RamifiedPoint
 from lamelab.green import hecke_Z
 
 TAU_TYPE2_N2 = 0.5 + 2.2j   # rhombic torus carrying nontrivial Z_2 zeros
@@ -384,6 +388,95 @@ def test_sigma2_fiber_degree():
     for _ in range(3):
         sig = TorusPoint.from_rs(rng.uniform(0.15, 0.45), rng.uniform(0.15, 0.45), ctx)
         assert sigma_n_degree_probe(2, sig, ctx) == 3
+
+
+def _grid_fiber_reference(sigma, ctx, grid=14):
+    """The former fiber search, kept as a reference: damped Newton on
+    h(a) = wp'(a) + wp'(sigma - a) from every point of a grid x grid mesh."""
+    def residual(a):
+        v1, v2 = _wp_clear(a, ctx), _wp_clear(sigma - a, ctx)
+        if v1 is None or v2 is None:
+            return None
+        return v1[1] + v2[1], (v1, v2)
+
+    def slope(a, f, vals):
+        (p1, _), (p2, _) = vals
+        return (6.0 * p1**2 - ctx.g2 / 2.0) - (6.0 * p2**2 - ctx.g2 / 2.0)
+
+    sols = []
+    for rr in np.linspace(0.05, 0.95, grid):
+        for ss in np.linspace(0.05, 0.95, grid):
+            hit = _damped_newton(residual, slope, rr + ss * ctx.tau, 1e-11, 60, cap=0.45)
+            if hit is None:
+                continue
+            a = hit[0]
+            # dedup modulo the lattice and the swap a <-> sigma - a
+            if not any(lattice_distance(c - b, ctx) < 1e-6
+                       for b, _ in sols for c in (a, sigma - a)):
+                sols.append((a, hit[1][1]))
+    return [XnPoint(n=2, a=[TorusPoint.from_z(a1, ctx), TorusPoint.from_z(sigma - a1, ctx)],
+                    x=[x1, x2], y=[y1, y2], B=3.0 * (x1 + x2), residual=abs(y1 + y2))
+            for a1, ((x1, y1), (x2, y2)) in sols]
+
+
+def test_sigma2_fiber_complete_on_type2_zeros():
+    # every type-II zero of Z_2 over the spectral benchmark's 4 x 4 grid of
+    # band tori has all three fiber points, among them one at 0.625+0.75i
+    # that lies 0.084 from the lattice, where |wp'| is about 3.4e3
+    seen = 0
+    for i in range(4):
+        for j in range(4):
+            ctx = make_context(complex((i + 0.5) / 4, 0.5 + 2 * (j + 0.5) / 4))
+            for t in find_type2(2, ctx):
+                fiber = _fiber_over_sigma(t.sigma.z, ctx)
+                assert len(fiber) == 3
+                for pt in fiber:
+                    # x, y recomputed from the returned a_i
+                    (x1, y1), (x2, y2) = (weierstrass(p.z, ctx) for p in pt.a)
+                    assert lattice_distance(pt.sigma() - t.sigma.z, ctx) < 1e-9
+                    assert abs(y1 + y2) <= 1e-10 * (1 + abs(y1))
+                    assert abs(pt.B - 3 * (x1 + x2)) <= 1e-10 * (1 + abs(pt.B))
+                seen += 1
+    assert seen == 8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(re=st.floats(-0.5, 0.5), im=st.floats(0.3, 8.0),
+       mod=st.floats(1.0, 4.0), arg=st.floats(0.0, 2 * math.pi))
+def test_sigma2_cubic_holds_on_curve_points(re, im, mod, arg):
+    # independent oracle: points from the spectral polynomial and the
+    # wp' sign search satisfy the cubic the fiber is built from.  wp(sigma)
+    # enters the scale as 1 + |wp|, the absolute precision wp values carry
+    # (wp_inverse stops at 1e-11 (1 + |x|)): at tau = i, B = 1, sigma is
+    # 2e-3 from the zero (1 + i)/2 of wp, and 27 wp g2 cancels B^3 to 3e-9
+    ctx = make_context(complex(re, im))
+    B = cmath.rect(mod, arg)
+    try:
+        a = point_on_Xn(2, B, ctx)
+    except (RamifiedPoint, NoSignPattern):
+        assume(False)   # the sign search near branch values is a separate defect
+    sig = a.sigma()
+    assume(lattice_distance(sig, ctx) >= 0.05)
+    w = weierstrass(sig, ctx)[0]
+    residual = B**3 - 9 * w * B**2 + 27 * (w * ctx.g2 + ctx.g3)
+    scale = max(abs(B) ** 3, (1 + abs(w)) * max(9 * abs(B) ** 2, 27 * abs(ctx.g2)), 27 * abs(ctx.g3))
+    assert abs(residual) <= 1e-9 * scale
+
+
+def test_sigma2_fiber_matches_grid_reference():
+    ctx = make_context(0.25 + 1.3j)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        sig = TorusPoint.from_rs(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95), ctx).z
+        new = sorted((p.canonical(ctx) for p in _fiber_over_sigma(sig, ctx)),
+                     key=lambda p: (p.B.real, p.B.imag))
+        ref = sorted((p.canonical(ctx) for p in _grid_fiber_reference(sig, ctx)),
+                     key=lambda p: (p.B.real, p.B.imag))
+        assert len(new) == len(ref) == 3
+        for p, q in zip(new, ref):
+            assert abs(p.B - q.B) < 1e-9 * (1 + abs(q.B))
+            for u, v in zip(p.a, q.a):
+                assert lattice_distance(u.z - v.z, ctx) < 1e-9
 
 
 def test_sigma1_fiber_degree(ctx):
