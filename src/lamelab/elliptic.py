@@ -315,7 +315,7 @@ def wp_inverse(x: complex, ctx: LatticeContext, sign_hint: int = +1,
     x = complex(x)
     tau = ctx.tau
     grid = np.linspace(0.07, 0.93, seeds)
-    cand = np.array([r + s * tau for r in grid for s in grid])
+    cand = (grid[:, None] + grid[None, :] * tau).ravel()
     vals, _ = wp_many(cand, ctx)
     order = np.argsort(np.abs(vals - x))
     a_found = None
@@ -393,28 +393,16 @@ def _norm(v):
     return np.linalg.norm(v) if isinstance(v, np.ndarray) else abs(v)
 
 
-def _damped_newton(residual, jacobian, x, tol: float, iters: int, *,
-                   final_tol: float | None = None, cap: float | None = None):
-    """Damped Newton on residual(x) = 0 from x: (root, residual(root)) or None.
+def _newton_run(jacobian, x, fx, tol: float, iters: int, final_tol, cap):
+    """The damped-Newton policy for one start x with residual ``fx``, as a
+    generator: it yields each trial point of the line search and is sent
+    that point's residual (None where infeasible).  It returns
+    ``(root, residual(root))`` or None (see :func:`_damped_newton`).
 
-    ``residual(x)`` is None where x is infeasible (off the domain or
-    inside a clearance), else ``(f, data)``, where ``data`` is whatever
-    the derivative can reuse (wp, wp' of the same kernel block, say).
-    ``jacobian(x, f, data)`` is called at accepted iterates only.  A
-    scalar derivative divides; a matrix is solved, a complex f of a real
-    pair x (an (r, s) chart) as (Re f, Im f).  The step is shortened to
-    ``cap`` in its largest entry (lattice units), then halved until the
-    residual's Euclidean norm falls (Deuflhard's monotonicity test).
-
-    An iterate whose residual has largest entry below ``tol`` is the
-    root; after ``iters`` steps the last iterate is accepted below
-    ``final_tol`` (default ``tol``).  An infeasible start, a singular
-    derivative (zero, or a matrix ``np.linalg.solve`` rejects) or a step
-    that no halving makes decrease gives None.
+    The generator holds no evaluation of its own, so one driver can feed a
+    single start (:func:`_damped_newton`) and another many starts at once
+    (:func:`_damped_newton_many`) through the same steps, bit for bit.
     """
-    fx = residual(x)
-    if fx is None:
-        return None
     for _ in range(iters):
         f = fx[0]
         if _size(f) < tol:
@@ -435,7 +423,7 @@ def _damped_newton(residual, jacobian, x, tol: float, iters: int, *,
         lam, base = 1.0, _norm(f)
         for _ in range(_HALVINGS):
             trial = x - lam * step
-            ft = residual(trial)
+            ft = yield trial
             if ft is not None and _norm(ft[0]) < base:
                 break
             lam *= 0.5
@@ -443,6 +431,70 @@ def _damped_newton(residual, jacobian, x, tol: float, iters: int, *,
             return None
         x, fx = trial, ft
     return (x, fx) if _size(fx[0]) < (tol if final_tol is None else final_tol) else None
+
+
+def _damped_newton(residual, jacobian, x, tol: float, iters: int, *,
+                   final_tol: float | None = None, cap: float | None = None):
+    """Damped Newton on residual(x) = 0 from x: (root, residual(root)) or None.
+
+    ``residual(x)`` is None where x is infeasible (off the domain or
+    inside a clearance), else ``(f, data)``, where ``data`` is whatever
+    the derivative can reuse (wp, wp' of the same kernel block, say).
+    ``jacobian(x, f, data)`` is called at accepted iterates only.  A
+    scalar derivative divides; a matrix is solved, a complex f of a real
+    pair x (an (r, s) chart) as (Re f, Im f).  The step is shortened to
+    ``cap`` in its largest entry (lattice units), then halved until the
+    residual's Euclidean norm falls (Deuflhard's monotonicity test).
+
+    An iterate whose residual has largest entry below ``tol`` is the
+    root; after ``iters`` steps the last iterate is accepted below
+    ``final_tol`` (default ``tol``).  An infeasible start, a singular
+    derivative (zero, or a matrix ``np.linalg.solve`` rejects) or a step
+    that no halving makes decrease gives None.
+
+    This drives one :func:`_newton_run`, evaluating each trial as it comes.
+    """
+    fx = residual(x)
+    if fx is None:
+        return None
+    run = _newton_run(jacobian, x, fx, tol, iters, final_tol, cap)
+    ft = None
+    try:
+        while True:
+            ft = residual(run.send(ft))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _damped_newton_many(residual_many, jacobian, xs, tol: float, iters: int, *,
+                        final_tol: float | None = None, cap: float | None = None):
+    """:func:`_damped_newton` from every start in ``xs`` at once, in lockstep:
+    a list with, per start, what ``_damped_newton`` returns for it.
+
+    ``residual_many(points)`` takes a list of points and returns the list
+    of their residuals, each None or ``(f, data)`` as ``residual`` would.
+    It is called once for the starts and then once per round, on the
+    pending trial point of every run still going, so an array kernel
+    evaluates all of them in one call.  Each start keeps its own
+    :func:`_newton_run`; a start that fails or converges drops out
+    without touching the others.
+    """
+    out = [None] * len(xs)
+    runs = [(i, _newton_run(jacobian, x, fx, tol, iters, final_tol, cap))
+            for i, (x, fx) in enumerate(zip(xs, residual_many(list(xs))))
+            if fx is not None]
+    sent = [None] * len(runs)
+    while runs:
+        going, trials = [], []
+        for (i, run), ft in zip(runs, sent):
+            try:
+                trials.append(run.send(ft))
+                going.append((i, run))
+            except StopIteration as stop:
+                out[i] = stop.value
+        runs = going
+        sent = residual_many(trials) if trials else []
+    return out
 
 
 def wp_regular_coefficients(ctx: LatticeContext, k_max: int) -> np.ndarray:

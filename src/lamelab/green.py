@@ -21,8 +21,10 @@ from .elliptic import (
     TorusPoint,
     _cell,
     _damped_newton,
+    _damped_newton_many,
     _wp_zeta,
     lattice_distance,
+    lattice_distance_many,
     make_context,
     theta1,
     zeta_many,
@@ -104,6 +106,19 @@ class CriticalSet:
         return json.dumps(payload, indent=2)
 
 
+def _hecke_jacobian(ctx: LatticeContext):
+    """d(Re Z, Im Z)/d(r, s) from wp at the point, for :func:`_damped_newton`:
+    Z_r = -wp - eta1 and Z_s = -wp tau - eta2."""
+    tau = ctx.tau
+
+    def jacobian(x, val, p):
+        zr = -p - ctx.eta1
+        zs = -p * tau - ctx.eta2
+        return np.array([[zr.real, zs.real], [zr.imag, zs.imag]])
+
+    return jacobian
+
+
 def _newton_Z(r: float, s: float, ctx: LatticeContext) -> tuple[float, float] | None:
     """2D Newton for (Re Z, Im Z) = 0 in the (r, s) chart."""
     tau = ctx.tau
@@ -116,13 +131,20 @@ def _newton_Z(r: float, s: float, ctx: LatticeContext) -> tuple[float, float] | 
         p, zeta = _wp_zeta(z, ctx)
         return zeta - r * ctx.eta1 - s * ctx.eta2, p
 
-    def jacobian(x, val, p):
-        zr = -p - ctx.eta1
-        zs = -p * tau - ctx.eta2
-        return np.array([[zr.real, zs.real], [zr.imag, zs.imag]])
-
-    hit = _damped_newton(residual, jacobian, (r, s), 1e-13, 60, final_tol=1e-11)
+    hit = _damped_newton(residual, _hecke_jacobian(ctx), (r, s), 1e-13, 60, final_tol=1e-11)
     return None if hit is None else tuple(hit[0])
+
+
+def _hecke_many(points, ctx: LatticeContext) -> list:
+    """The residual of :func:`_newton_Z` at many (r, s) points, from one
+    kernel call: (Z, wp) per point, or None inside the pole clearance."""
+    r, s = np.array(points, dtype=float).T
+    z = r + s * ctx.tau
+    clear = lattice_distance_many(z, ctx) >= POLE_CLEARANCE
+    p, zeta = _wp_zeta(z[clear], ctx)
+    Z = zeta - r[clear] * ctx.eta1 - s[clear] * ctx.eta2
+    vals = iter(zip(Z.tolist(), p.tolist()))
+    return [next(vals) if ok else None for ok in clear.tolist()]
 
 
 def _winding_cells(vals: np.ndarray) -> np.ndarray:
@@ -141,8 +163,10 @@ def _winding_cells(vals: np.ndarray) -> np.ndarray:
 def critical_points(ctx: LatticeContext, grid: int = 48) -> CriticalSet:
     """All zeros of Z in [0,1)^2 by winding-flagged cells plus 2D Newton.
 
-    Deduplicates modulo the lattice and the +/- symmetry, always seeds the
-    three half-periods, and checks the 3-or-5 dichotomy.
+    The Newton runs from all seeds go in lockstep, one array kernel call
+    per round.  Deduplicates in seed order modulo the lattice and the +/-
+    symmetry, always seeds the three half-periods, and checks the 3-or-5
+    dichotomy.
     """
     if grid < 32:
         raise ValueError("grid must be >= 32")
@@ -164,11 +188,13 @@ def critical_points(ctx: LatticeContext, grid: int = 48) -> CriticalSet:
             for k in range(4):
                 ang = 2 * math.pi * (k + 0.5) / 4
                 seeds.append((hr + rad * math.cos(ang), hs + rad * math.sin(ang)))
+    hits = _damped_newton_many(lambda pts: _hecke_many(pts, ctx), _hecke_jacobian(ctx),
+                               seeds, 1e-13, 60, final_tol=1e-11)
     found: list[tuple[float, float]] = []
-    for r0, s0 in seeds:
-        res = _newton_Z(r0, s0, ctx)
-        if res is None:
+    for hit in hits:
+        if hit is None:
             continue
+        res = hit[0]
         r1 = res[0] - math.floor(res[0])
         s1 = res[1] - math.floor(res[1])
         cand = (r1, s1)

@@ -198,3 +198,128 @@ def test_argument_principle_over_gamma0_2():
     w_out = gamma0_2_winding(0.75, 0.25)
     assert abs(w_out - round(w_out)) < 1e-6
     assert round(w_out) == 0
+
+
+# -- lockstep Newton against the sequential seed loop it replaced ---------------
+
+def _critical_points_reference(ctx, grid=48):
+    """Verbatim copy of the sequential critical_points: one _newton_Z run
+    per seed, one after another."""
+    from lamelab.elliptic import TorusPoint, zeta_many
+    from lamelab.errors import NoConvergence
+    from lamelab.green import CriticalSet, _winding_cells
+
+    tau = ctx.tau
+    rr = (np.arange(grid + 1) + 0.31) / grid        # offset avoids the corner pole
+    ss = (np.arange(grid + 1) + 0.43) / grid
+    R, S = np.meshgrid(rr, ss, indexing="ij")
+    Zg = zeta_many(R + S * tau, ctx) - R * ctx.eta1 - S * ctx.eta2
+    wind = _winding_cells(Zg)
+    seeds = [((rr[i] + rr[i + 1]) / 2, (ss[j] + ss[j + 1]) / 2)
+             for i, j in zip(*np.where(np.abs(wind) > 0.5))]
+    seeds += list(HALF_PERIOD_RS)
+    for hr, hs in HALF_PERIOD_RS:
+        for rad in (3e-2, 3e-3, 3e-4, 3e-5, 3e-6):
+            for k in range(4):
+                ang = 2 * math.pi * (k + 0.5) / 4
+                seeds.append((hr + rad * math.cos(ang), hs + rad * math.sin(ang)))
+    found: list[tuple[float, float]] = []
+    for r0, s0 in seeds:
+        res = _newton_Z(r0, s0, ctx)
+        if res is None:
+            continue
+        r1 = res[0] - math.floor(res[0])
+        s1 = res[1] - math.floor(res[1])
+        cand = (r1, s1)
+        dup = False
+        for (ra, sa) in found:
+            for (rb, sb) in (cand, ((-cand[0]) % 1.0, (-cand[1]) % 1.0)):
+                dr = min(abs(rb - ra), 1 - abs(rb - ra))
+                ds = min(abs(sb - sa), 1 - abs(sb - sa))
+                if math.hypot(dr, ds) < 1e-8:
+                    dup = True
+        if not dup:
+            found.append(cand)
+    halves, extras = [], []
+    for (r1, s1) in found:
+        if any(math.hypot(min(abs(r1 - hr), 1 - abs(r1 - hr)),
+                          min(abs(s1 - hs), 1 - abs(s1 - hs))) < 1e-8
+               for hr, hs in HALF_PERIOD_RS):
+            halves.append((r1, s1))
+        else:
+            extras.append((r1, s1))
+    if len(halves) != 3:
+        raise NoConvergence(f"expected the 3 half-period zeros, found {len(halves)}")
+    points = [TorusPoint.from_rs(round(hr * 2) / 2, round(hs * 2) / 2, ctx)
+              for hr, hs in HALF_PERIOD_RS]
+    extra_pair = None
+    if extras:
+        if len(extras) != 1:
+            raise NoConvergence(f"unexpected extra zero structure: {extras}")
+        p = TorusPoint.from_rs(*extras[0], ctx)
+        extra_pair = (p, p.negate(ctx))
+        points += [p, p.negate(ctx)]
+    count = len(points)
+    if count not in (3, 5):
+        raise NoConvergence(f"critical point count {count} outside {{3, 5}}")
+    return CriticalSet(points=points, count=count, extra_pair=extra_pair, tau=tau)
+
+
+def test_critical_points_match_sequential_seed_loop():
+    # band tori, Re tau in [0, 1] and Im tau in [0.5, 2.5], one in ten
+    # rectangular, plus the tori the CLI examples and the other tests use
+    rng = np.random.default_rng(31)
+    taus = [complex(0.0 if k % 10 == 4 else rng.uniform(0.0, 1.0), rng.uniform(0.5, 2.5))
+            for k in range(200)]
+    taus += [0.5 + 2.2j, 0.22 + 1.31j, 0.0625 + 0.875j]
+    fives = 0
+    for tau in taus:
+        c = make_context(tau)
+        ref = _critical_points_reference(c)
+        cs = critical_points(c)
+        assert cs.count == ref.count, tau
+        fives += cs.count == 5
+        for p, q in zip(cs.points, ref.points):
+            assert abs(p.r - q.r) < 1e-12 and abs(p.s - q.s) < 1e-12, tau
+    assert 0 < fives < len(taus)
+
+
+def test_critical_points_newton_phase_is_batched(monkeypatch):
+    import lamelab.green as green
+
+    calls = []
+
+    def counting(z, ctx, prime=False):
+        calls.append(np.ndim(z))
+        return kernel(z, ctx, prime)
+
+    kernel = green._wp_zeta
+    monkeypatch.setattr(green, "_wp_zeta", counting)
+    cs = critical_points(make_context(0.5 + 2.2j))
+    assert cs.count == 5
+    # the winding grid goes through zeta_many; every Newton evaluation
+    # here is an array call, one per lockstep round
+    assert 0 < len(calls) <= 20 and all(d == 1 for d in calls)
+
+
+def test_hecke_many_matches_scalar_and_clearance(ctx, rng):
+    from lamelab.elliptic import wp
+    from lamelab.green import _hecke_many
+
+    pts = [random_clear_rs(rng, margin=0.0) for _ in range(40)]
+    pts += [(7e-4, 0.0), (3e-4, 0.0), (1.0 - 1e-4, 1e-4), (0.5, 0.5), (2.3, -1.6)]
+    vals = _hecke_many(pts, ctx)
+    assert len(vals) == len(pts)
+    inside = 0
+    for (r, s), val in zip(pts, vals):
+        try:
+            want = hecke_Z(r, s, ctx)
+        except PoleProximity:
+            inside += 1
+            assert val is None
+            continue
+        Z, p = val
+        assert abs(Z - want) < 1e-12 * (1.0 + abs(want))
+        w = wp(r + s * ctx.tau, ctx)
+        assert abs(p - w) < 1e-12 * (1.0 + abs(w))
+    assert inside == 3

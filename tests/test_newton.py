@@ -3,6 +3,7 @@ against verbatim copies of the loops they replaced."""
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lamelab import SourceDivisor, build_system, make_context
 from lamelab.elliptic import (
     POLE_CLEARANCE,
     _damped_newton,
+    _damped_newton_many,
     _newton_wp,
     lattice_distance,
     weierstrass,
@@ -112,6 +114,97 @@ def test_budget_and_final_tolerance():
     assert _damped_newton(residual, slope, 1.0, 1e-30, 5) is None
     root, _ = _damped_newton(residual, slope, 1.0, 1e-30, 5, final_tol=1e-2)
     assert root == pytest.approx((2.0 / 3.0) ** 5)
+
+
+# -- the lockstep driver against one run per start ---------------------------
+
+def _cubic(x):
+    # x^3 = 8 with the real root walled off (Re x > 1 is infeasible), so a
+    # start on the wall finds no feasible halving; |x| > 4 is infeasible too
+    if x.real > 1.0 or abs(x) > 4.0:
+        return None
+    return x**3 - 8.0, 3.0 * x * x
+
+
+def _circle_line(v):
+    return np.array([v[0] ** 2 + v[1] ** 2 - 4.0, v[0] - v[1]]), None
+
+
+def _circle_line_jacobian(v, f, _):
+    # singular on v[0] = -v[1]
+    return np.array([[2.0 * v[0], 2.0 * v[1]], [1.0, -1.0]])
+
+
+def _per_point(residual, calls):
+    def residual_many(xs):
+        calls.append(len(xs))
+        return [residual(x) for x in xs]
+    return residual_many
+
+
+def _same(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    (xa, (fa, da)), (xb, (fb, db)) = a, b
+    return (np.array_equal(xa, xb) and np.array_equal(fa, fb)
+            and (da is db or np.array_equal(da, db)))
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"cap": 0.7}, {"final_tol": 1e-6}])
+def test_many_matches_single_runs_scalar(kwargs):
+    rng = np.random.default_rng(21)
+    starts = [complex(*v) for v in rng.uniform([-3.0, -3.0], [1.0, 3.0], size=(60, 2))]
+    # zero derivative, infeasible, on the wall (every halving infeasible)
+    starts[7:7] = [0j, 5.0 + 0j, 1.0 + 0j]
+    slope = lambda x, f, d: d  # noqa: E731
+    calls = []
+    many = _damped_newton_many(_per_point(_cubic, calls), slope, starts, 1e-14, 6, **kwargs)
+    single = [_damped_newton(_cubic, slope, x, 1e-14, 6, **kwargs) for x in starts]
+    assert len(many) == len(starts)
+    assert all(_same(a, b) for a, b in zip(many, single))
+    assert many[7] is None and many[8] is None and many[9] is None
+    # six steps leave about half the starts short of 1e-14; final_tol
+    # accepts most of them, the cap fewer
+    hits = sum(h is not None for h in many)
+    assert 20 <= hits < len(starts)
+    # one call for the starts, then one per round, each smaller or equal
+    assert calls[0] == len(starts) and calls == sorted(calls, reverse=True)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"cap": 0.3}, {"final_tol": 1e-6}])
+def test_many_matches_single_runs_2x2(kwargs):
+    rng = np.random.default_rng(22)
+    starts = list(rng.normal(scale=3.0, size=(60, 2)))
+    starts[5:5] = [np.array([1.0, -1.0]), np.array([-2.5, 2.5])]   # singular
+    many = _damped_newton_many(_per_point(_circle_line, []), _circle_line_jacobian,
+                               starts, 1e-14, 6, **kwargs)
+    single = [_damped_newton(_circle_line, _circle_line_jacobian, x, 1e-14, 6, **kwargs)
+              for x in starts]
+    assert all(_same(a, b) for a, b in zip(many, single))
+    assert many[5] is None and many[6] is None
+    hits = sum(h is not None for h in many)
+    assert 0 < hits < len(starts)
+
+
+def test_many_failing_start_leaves_others_untouched():
+    slope = lambda x, f, d: d  # noqa: E731
+    good = [-1.5 + 1.2j, -0.5 - 2.0j, 0.3 + 0.4j]
+    bad = [0j, 5.0 + 0j, 1.0 + 0j]
+    alone = _damped_newton_many(_per_point(_cubic, []), slope, good, 1e-14, 30)
+    mixed = _damped_newton_many(_per_point(_cubic, []), slope,
+                                [bad[0], good[0], bad[1], good[1], bad[2], good[2]], 1e-14, 30)
+    assert all(h is not None for h in alone)
+    assert mixed[0] is None and mixed[2] is None and mixed[4] is None
+    assert all(_same(a, b) for a, b in zip(alone, mixed[1::2]))
+
+
+def test_one_line_search_in_src():
+    # the only Newton loop in the package is _newton_run's
+    src = Path(__file__).resolve().parents[1] / "src" / "lamelab"
+    halvings = [f"{p.name}:{n}" for p in sorted(src.glob("*.py"))
+                for n, line in enumerate(p.read_text().splitlines(), 1)
+                if "lam *= 0.5" in line]
+    assert len(halvings) == 1, halvings
 
 
 # -- verbatim copies of the loops the routine replaced --------------------------
