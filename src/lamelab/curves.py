@@ -3,9 +3,10 @@
 For the integral Lame operator with potential n(n+1) wp + B, the product
 of the two ansatz solutions is a polynomial X(x) in x = wp whose
 coefficients s_k satisfy a linear recursion in B, g2, g3.  Points of the
-curve X_n are recovered from the roots of X by inverting wp and fixing a
-sign pattern on wp'.  The explicit degree-n(n+1)/2 polynomials W_n for
-n <= 4 turn the Hecke function into the pre-modular forms Z_n.
+curve X_n are recovered from the roots of X by inverting wp and taking
+the signs of wp' from the Lagrange vector.  The explicit degree-n(n+1)/2
+polynomials W_n for n <= 4 turn the Hecke function into the pre-modular
+forms Z_n.
 """
 
 from __future__ import annotations
@@ -145,20 +146,35 @@ class XnPoint:
         }, indent=2)
 
 
-def point_on_Xn(n: int, B: complex, ctx: LatticeContext,
-                ramified_tol: float = 1e-9, pattern_tol: float = 1e-8) -> XnPoint:
+#: l_n(B) below this times 1 + |B|^(2n+1) is a branch value of Y_n
+RAMIFIED_TOL = 1e-9
+#: largest accepted residual of sum y_i x_i^r, relative to 1 + its largest term
+PATTERN_TOL = 1e-8
+
+
+def _lagrange_signs(xs, ys) -> list[int]:
+    """Signs eps with eps_i y_i nearest c / prod_{j != i}(x_i - x_j), c fit
+    to y_1: on X_n the y_i span the null vector of sum y_i x_i^r = 0,
+    r <= n - 2.  ``ys`` may list fewer entries than ``xs``."""
+    v = [1.0 / math.prod(xi - xj for j, xj in enumerate(xs) if j != i)
+         for i, xi in enumerate(xs)]
+    c = ys[0] / v[0]
+    return [1 if abs(y - c * u) <= abs(y + c * u) else -1 for y, u in zip(ys, v)]
+
+
+def point_on_Xn(n: int, B: complex, ctx: LatticeContext) -> XnPoint:
     """Recover a point of X_n above B: roots of X(x), wp-inversion, then
-    exhaustive sign search over wp' to satisfy sum y_i x_i^r = 0.
+    the signs of wp' from the Lagrange vector (:func:`_lagrange_signs`).
 
     Raises RamifiedPoint on the branch locus l_n(B) ~ 0 (where a = -a and
-    the sign structure degenerates) and NoSignPattern if no assignment
-    meets the tolerance.  The global sign is fixed so the first entry of
-    the sign vector is +; the mirror point is ``negate()``.
+    the sign structure degenerates) and NoSignPattern if that sign pattern
+    leaves sum y_i x_i^r above tolerance.  The global sign is fixed so the
+    first entry of the sign vector is +; the mirror point is ``negate()``.
     """
     B = complex(B)
     ln = lame_ln(n, B, ctx)
     ln_scale = 1.0 + abs(B) ** (2 * n + 1)
-    if abs(ln) < ramified_tol * ln_scale:
+    if abs(ln) < RAMIFIED_TOL * ln_scale:
         raise RamifiedPoint(f"l_{n}(B) = {ln:.3e} ~ 0: branch point of Y_{n}")
     xs = np.roots(spectral_poly(n, B, ctx))
     if n > 1:
@@ -167,24 +183,15 @@ def point_on_Xn(n: int, B: complex, ctx: LatticeContext,
             raise RamifiedPoint("spectral polynomial has (nearly) multiple roots")
     pts = [wp_inverse(x, ctx, sign_hint=+1) for x in xs]
     xs, ys = (list(v) for v in zip(*(weierstrass(p.z, ctx) for p in pts)))
-    scale = 1.0
-    for r in range(max(n - 1, 0)):
-        scale = max(scale, max(abs(ys[i] * xs[i] ** r) for i in range(n)))
-    best_eps, best_res = None, math.inf
-    for mask in range(2 ** n):
-        eps = [1 if not (mask >> i) & 1 else -1 for i in range(n)]
-        res = 0.0
-        for r in range(max(n - 1, 0)):
-            res = max(res, abs(sum(eps[i] * ys[i] * xs[i] ** r for i in range(n))))
-        if res < best_res:
-            best_res, best_eps = res, eps
-    if n > 1 and best_res > pattern_tol * (1.0 + scale):
-        raise NoSignPattern(f"best sign-pattern residual {best_res:.3e} exceeds tolerance")
-    if best_eps[0] < 0:
-        best_eps = [-e for e in best_eps]
-    a = [pts[i] if best_eps[i] > 0 else pts[i].negate(ctx) for i in range(n)]
-    y = [best_eps[i] * ys[i] for i in range(n)]
-    return XnPoint(n=n, a=a, x=list(xs), y=y, B=B, residual=best_res)
+    scale = max([1.0] + [abs(v * x**r) for x, v in zip(xs, ys) for r in range(n - 1)])
+    eps = _lagrange_signs(xs, ys)
+    y = [eps[i] * ys[i] for i in range(n)]
+    res = max((abs(sum(y[i] * xs[i] ** r for i in range(n))) for r in range(n - 1)),
+              default=0.0)
+    if res > PATTERN_TOL * (1.0 + scale):
+        raise NoSignPattern(f"Lagrange sign-pattern residual {res:.3e} exceeds tolerance")
+    a = [pts[i] if eps[i] > 0 else pts[i].negate(ctx) for i in range(n)]
+    return XnPoint(n=n, a=a, x=list(xs), y=y, B=B, residual=res)
 
 
 def zn_value(a: XnPoint, ctx: LatticeContext) -> complex:
@@ -316,109 +323,105 @@ def hermite_halphen_logderiv(a: XnPoint, z: complex, ctx: LatticeContext) -> com
             - a.n * zeta_w(z, ctx))
 
 
+def _rs_distance(r: float, s: float, r0: float, s0: float) -> float:
+    """Distance of (r, s) from (r0, s0) in lattice coordinates, modulo 1."""
+    return math.hypot(min((r - r0) % 1.0, (r0 - r) % 1.0), min((s - s0) % 1.0, (s0 - s) % 1.0))
+
+
 def _is_two_torsion(r: float, s: float, tol: float = 1e-8) -> bool:
-    for hr, hs in E2_RS:
-        dr = min((r - hr) % 1.0, (hr - r) % 1.0)
-        ds = min((s - hs) % 1.0, (hs - s) % 1.0)
-        if math.hypot(dr, ds) < tol:
-            return True
-    return False
+    return any(_rs_distance(r, s, hr, hs) < tol for hr, hs in E2_RS)
 
 
-def _fiber_over_sigma(sigma: complex, ctx: LatticeContext) -> list[XnPoint]:
-    """All points of X_2 above sigma under the addition map.
+def _fiber_poly(n: int, w: complex, g2: complex, g3: complex) -> list[complex]:
+    """Coefficients in B, highest first, whose roots are the B of the
+    points of X_n over sigma, w = wp(sigma).  wp(sigma_n(a)) is even under
+    a -> -a, so it is rational in B, of degree n(n+1)/2 (Lin & Wang,
+    "Mean field equations, hyperelliptic curves and modular forms", 2017).
 
-    With y_2 = -y_1, x_1 + x_2 = B/3 and x_1 x_2 = B^2/9 - g2/4 on X_2,
-    the addition theorem clears to B^3 - 9 wp(sigma) B^2 + 27 (wp(sigma) g2
-    + g3) = 0.  Each root gives a_1 = +-wp^{-1}(x_1), signed so that
-    wp(sigma - a_1) is nearer x_2, and one Newton polish on h(a) = wp'(a)
-    + wp'(sigma - a) relative to |y_1|, which is large near the lattice.
-    Roots with a_1 or a_2 inside the pole clearance are skipped.
+    n = 2: wp(sigma) = y_1^2/(x_1 - x_2)^2 - B/3 with y_2 = -y_1,
+    x_1 + x_2 = B/3, x_1 x_2 = B^2/9 - g2/4 gives B^3 - 9wB^2 + 27(w g2 + g3).
+    n = 3: the parabola y = px^2 + qx + r through the three points meets the
+    curve again at -sigma, so w = 4/p^2 - 2q/p - sum x_i.  With
+    y_i = c / prod_{j != i}(x_i - x_j), p and q are symmetric in the x_i;
+    x_i -> s_k(B) and cancelling gives N_3(B) - 36wB(4B^2 - 75g2)^2, N_3 =
+    16B^6 + 360g2B^4 + 27000g3B^3 - 3375g2^2B^2 - 303750g2g3B - 84375g2^3
+    + 2278125g3^2.
     """
+    if n == 2:
+        return [1.0, -9.0 * w, 0.0, 27.0 * (w * g2 + g3)]
+    return [16.0, -576.0 * w, 360.0 * g2, 27000.0 * g3 + 21600.0 * w * g2,
+            -3375.0 * g2**2, -303750.0 * g2 * g3 - 202500.0 * w * g2**2,
+            -84375.0 * g2**3 + 2278125.0 * g3**2]
+
+
+def _fiber_over_sigma(sigma: complex, ctx: LatticeContext, n: int) -> list[XnPoint]:
+    """All points of X_n (n = 2, 3) above sigma under the addition map.
+
+    Each root B of :func:`_fiber_poly` is lifted: x from the roots of X(x),
+    a_1..a_{n-1} by ``wp_inverse`` with :func:`_lagrange_signs`, a_n =
+    sigma - sum a_i with the global sign that puts wp(a_n) nearer x_n (the
+    mirror lies over -sigma), then one damped-Newton polish on
+    (sum y_i x_i^r)_{r <= n-2} relative to its largest term.  Roots whose
+    polish fails or meets the pole clearance are skipped.
+    """
+    g2, g3 = ctx.g2, ctx.g3
+
+    def split(a):
+        head = [a] if n == 2 else list(a)
+        return head + [sigma - sum(head)]
+
     def residual(a):
-        v1, v2 = _wp_clear(a, ctx), _wp_clear(sigma - a, ctx)
-        if v1 is None or v2 is None:
-            return None
-        return v1[1] + v2[1], (v1, v2)
-
-    def slope(a, f, vals):
-        return 6.0 * (vals[0][0] ** 2 - vals[1][0] ** 2)   # wp'' = 6 wp^2 - g2/2
-
-    def gap(a, x2):
-        v = _wp_clear(sigma - a, ctx)
-        return math.inf if v is None else abs(v[0] - x2)
-
-    w, g2, g3 = weierstrass(sigma, ctx)[0], ctx.g2, ctx.g3
-    out = []
-    for B in np.roots([1.0, -9.0 * w, 0.0, 27.0 * (w * g2 + g3)]):
-        x1, x2 = np.roots([1.0, -B / 3.0, B * B / 9.0 - g2 / 4.0])
-        a = wp_inverse(x1, ctx).z
-        a = min((a, -a), key=lambda c: gap(c, x2))
-        tol = 1e-11 * (1.0 + abs(cmath.sqrt(4.0 * x1**3 - g2 * x1 - g3)))
-        hit = _damped_newton(residual, slope, a, tol, 60, cap=0.45)
-        if hit is None:
-            continue
-        a, (f, ((x1, y1), (x2, y2))) = hit
-        out.append(XnPoint(n=2, a=[TorusPoint.from_z(a, ctx), TorusPoint.from_z(sigma - a, ctx)],
-                           x=[x1, x2], y=[y1, y2], B=3.0 * (x1 + x2), residual=abs(f)))
-    return out
-
-
-def _fiber_over_sigma_n3(sigma: complex, ctx: LatticeContext) -> list[XnPoint]:
-    """Fiber points of sigma_3 by multistart Newton on (a_1, a_2) with
-    a_3 = sigma - a_1 - a_2; enumeration is best-effort (degree 6)."""
-    rng = np.random.default_rng(0)
-    tau = ctx.tau
-
-    def residual(v):
-        vals = [_wp_clear(a, ctx) for a in (v[0], v[1], sigma - v[0] - v[1])]
+        vals = [_wp_clear(c, ctx) for c in split(a)]
         if None in vals:
             return None
-        xs, ys = zip(*vals)
-        return np.array([sum(ys), sum(y * x for x, y in zip(xs, ys))]), (xs, ys)
+        f = [sum(y * x**r for x, y in vals) for r in range(n - 1)]
+        return (f[0] if n == 2 else np.array(f)), vals
 
-    def jacobian(v, f, data):
-        # holomorphic Jacobian; the a_3 column enters with a minus sign
-        xs, ys = data
-        d1 = [6.0 * x * x - ctx.g2 / 2.0 for x in xs]
-        d2 = [d * x + y * y for d, x, y in zip(d1, xs, ys)]
+    def jacobian(a, f, vals):
+        # holomorphic; a_n = sigma - sum a_i enters every column with a minus sign
+        d1 = [6.0 * x * x - g2 / 2.0 for x, _ in vals]        # (wp')' = wp''
+        if n == 2:
+            return d1[0] - d1[1]
+        d2 = [d * x + y * y for d, (x, y) in zip(d1, vals)]   # (wp' wp)'
         return np.array([[d1[0] - d1[2], d1[1] - d1[2]],
                          [d2[0] - d2[2], d2[1] - d2[2]]])
 
-    sols = []
-    for _ in range(60):
-        a1 = rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * tau
-        a2 = rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * tau
-        hit = _damped_newton(residual, jacobian, np.array([a1, a2]), 1e-11, 70, cap=0.4)
+    def gap(head, xn):
+        v = _wp_clear(sigma - sum(head), ctx)
+        return math.inf if v is None else abs(v[0] - xn)
+
+    out = []
+    for B in np.roots(_fiber_poly(n, weierstrass(sigma, ctx)[0], g2, g3)):
+        xs = np.roots(spectral_poly(n, B, ctx))
+        ws = [cmath.sqrt(4.0 * x**3 - g2 * x - g3) for x in xs]   # wp'(wp_inverse(x))
+        eps = _lagrange_signs(xs, ws[:-1])
+        head = [wp_inverse(x, ctx, sign_hint=e).z for x, e in zip(xs, eps)]
+        head = min((head, [-c for c in head]), key=lambda h: gap(h, xs[-1]))
+        tol = 1e-11 * (1.0 + max(abs(w * x**r) for w, x in zip(ws, xs) for r in range(n - 1)))
+        hit = _damped_newton(residual, jacobian, head[0] if n == 2 else np.array(head),
+                             tol, 60, cap=0.45)
         if hit is None:
             continue
-        (a1, a2), (f, (xs, ys)) = hit
-        trip = [a1, a2, sigma - a1 - a2]
-        key = tuple(sorted(
-            (round(TorusPoint.from_z(a, ctx).canonical(ctx).r, 6),
-             round(TorusPoint.from_z(a, ctx).canonical(ctx).s, 6)) for a in trip))
-        if any(k == key for k, _ in sols):
-            continue
-        sols.append((key, XnPoint(
-            n=3, a=[TorusPoint.from_z(a, ctx) for a in trip],
-            x=list(xs), y=list(ys), B=5.0 * sum(xs), residual=float(np.abs(f).max()))))
-    return [pt for _, pt in sols]
+        a, (f, vals) = hit
+        x, y = (list(col) for col in zip(*vals))
+        out.append(XnPoint(n=n, a=[TorusPoint.from_z(c, ctx) for c in split(a)],
+                           x=x, y=y, B=(2 * n - 1) * sum(x), residual=float(np.abs(f).max())))
+    return out
 
 
 def sigma_n_degree_probe(n: int, sigma0, ctx: LatticeContext) -> int:
-    """Number of distinct B with sigma_n(a(B)) = sigma0 (n = 2: expect 3).
+    """Number of distinct B with sigma_n(a(B)) = sigma0 (expect n(n+1)/2).
 
-    For n = 2 the B are the roots of the cubic behind
-    :func:`_fiber_over_sigma` whose fiber points clear the lattice, counted
-    once each.  n = 1 returns 1 (identity map).
+    For n = 2, 3 the B are the roots of :func:`_fiber_poly` whose fiber
+    points clear the lattice, counted once each.  n = 1 returns 1.
     """
     sig = sigma0.z if isinstance(sigma0, TorusPoint) else complex(sigma0)
     if n == 1:
         return 1
-    if n != 2:
-        raise ValueError("degree probe implemented for n in {1, 2}")
+    if n not in (2, 3):
+        raise ValueError("degree probe implemented for n in {1, 2, 3}")
     bs: list[complex] = []
-    for p in _fiber_over_sigma(sig, ctx):
+    for p in _fiber_over_sigma(sig, ctx, n):
         if not any(abs(p.B - b) < 1e-6 * (1.0 + abs(b)) for b in bs):
             bs.append(p.B)
     return len(bs)
@@ -443,17 +446,17 @@ class Type2Solution:
         }
 
 
-def find_type2(n: int, ctx: LatticeContext, grid: int = 64,
-               allow_higher: bool = False) -> list[Type2Solution]:
+def find_type2(n: int, ctx: LatticeContext, grid: int = 64) -> list[Type2Solution]:
     """Nontrivial zeros of Z_n (sigma outside the 2-torsion) with the
     matching a on X_n; every returned a satisfies sum grad G(a_i) ~ 0.
 
     n = 1: the zeros are the extra critical points of G, and a = sigma.
-    n = 2: zeros of W_2(Z) located by scanning + Newton, then, of the
-    three fiber points above sigma from a cubic in B, the one whose z_2
-    value equals Z(sigma).  An empty list is a meaningful outcome (e.g.
-    rectangular tori at n = 1).  n = 3 is available behind ``allow_higher``
-    with best-effort fiber enumeration and no count guarantee.
+    n = 2, 3: zeros of W_n(Z) located by scanning + Newton, then, of the
+    n(n+1)/2 fiber points above sigma from one polynomial in B
+    (:func:`_fiber_over_sigma`), the one whose z_n value equals Z(sigma).
+    A zero within 1e-6 of a half-period is trivial: there Z = wp' = 0, and
+    for n = 3 W_3(Z) has a double zero that Newton reaches only linearly.
+    An empty list is a meaningful outcome (e.g. rectangular tori at n = 1).
     """
     if grid < 64:
         raise ValueError("grid must be >= 64")
@@ -469,8 +472,6 @@ def find_type2(n: int, ctx: LatticeContext, grid: int = 64,
                     sigma=p, a=a, zn=0.0, hecke=zv,
                     green_defect=abs(zv) / (2.0 * math.pi)))
         return out
-    if n == 3 and not allow_higher:
-        raise ValueError("n = 3 has no count guarantee; pass allow_higher=True")
     if n not in (2, 3):
         raise ValueError("find_type2 implemented for n in {1, 2, 3}")
     tau = ctx.tau
@@ -508,20 +509,14 @@ def find_type2(n: int, ctx: LatticeContext, grid: int = 64,
         if hit is None:
             continue
         r1, s1 = hit[0][0] % 1.0, hit[0][1] % 1.0
-        if _is_two_torsion(r1, s1):
-            continue
-        for (ra, sa) in zeros:
-            dr = min(abs(r1 - ra), 1 - abs(r1 - ra))
-            ds = min(abs(s1 - sa), 1 - abs(s1 - sa))
-            if math.hypot(dr, ds) < 1e-6:
-                break
-        else:
+        # the 2-torsion are trivial zeros, deduplicated like the others
+        if all(_rs_distance(r1, s1, *q) >= 1e-6 for q in (*E2_RS, *zeros)):
             zeros.append((r1, s1))
     out = []
     for (r1, s1) in zeros:
         sig_pt = TorusPoint.from_rs(r1, s1, ctx)
         zval = hecke_Z(r1, s1, ctx)
-        fiber = (_fiber_over_sigma if n == 2 else _fiber_over_sigma_n3)(sig_pt.z, ctx)
+        fiber = _fiber_over_sigma(sig_pt.z, ctx, n)
         best_zn, best = min(((zn_value(cand, ctx), cand) for cand in fiber),
                             key=lambda t: abs(t[0] - zval), default=(math.inf, None))
         if abs(best_zn - zval) > 1e-6 * (1.0 + abs(zval)):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from lamelab.curves import (
     Wn_monomial_scale,
     XnPoint,
     _fiber_over_sigma,
+    _fiber_poly,
     _wn,
     hermite_halphen_logderiv,
     lame_ln_raw,
@@ -311,17 +313,136 @@ def test_find_type2_period_integrals_imaginary():
             assert abs(total.real) < 1e-6
 
 
-def test_find_type2_n3_behind_flag():
+def test_find_type2_n3():
     ctx = make_context(TAU_TYPE2_N2)
-    with pytest.raises(ValueError):
-        find_type2(3, ctx)
-    sols = find_type2(3, ctx, grid=72, allow_higher=True)
+    sols = find_type2(3, ctx, grid=72)
     assert sols   # this torus carries nontrivial zeros of Z_3 as well
     for t in sols:
         assert t.green_defect < 1e-6
         rep = t.a.verify(ctx)
         assert rep["curve"] < 1e-7
         assert rep["B"] < 1e-8
+
+
+@pytest.mark.parametrize("tau", [0.0625 + 0.875j, 0.625 + 0.75j, 0.375 + 1.25j])
+def test_find_type2_n3_skips_half_periods(tau):
+    # W_3(Z) has a double zero at each half-period (Z = wp' = 0 there), where
+    # Newton stops up to 1e-7 short; such sigma carry a green defect of about
+    # 2e-9 against 1e-15 for the true zeros
+    ctx = make_context(tau)
+    sols = find_type2(3, ctx, grid=72)
+    for t in sols:
+        assert min(math.hypot(t.sigma.r - hr, t.sigma.s - hs)
+                   for hr in (0.0, 0.5, 1.0) for hs in (0.0, 0.5, 1.0)) > 1e-3
+        assert t.green_defect < 1e-12
+    if tau == 0.375 + 1.25j:
+        rs = [(round(t.sigma.r, 5), round(t.sigma.s, 5)) for t in sols]
+        assert rs == [(0.45296, 0.16489), (0.54704, 0.83511)]
+
+
+SIGMA3_TORI = (0.22 + 1.31j, TAU_TYPE2_N2, 0.125 + 0.75j, 0.875 + 2.25j)
+
+
+@pytest.mark.parametrize("tau", SIGMA3_TORI)
+def test_sigma3_fiber_complete(tau):
+    # six points over sigma, each on X_3, and z_3 a root of W_3(.; sigma),
+    # the minimal polynomial of z_3 over the fiber: an independent oracle
+    ctx = make_context(tau)
+    rng = np.random.default_rng([11, SIGMA3_TORI.index(tau)])
+    for _ in range(6):
+        sig = TorusPoint.from_rs(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95), ctx)
+        fiber = _fiber_over_sigma(sig.z, ctx, 3)
+        assert len(fiber) == 6
+        bs = [pt.B for pt in fiber]
+        assert min(abs(b - c) for i, b in enumerate(bs) for c in bs[:i]) > 1e-6
+        for pt in fiber:
+            assert lattice_distance(pt.sigma() - sig.z, ctx) < 1e-10
+            assert max(pt.verify(ctx).values()) < 1e-8
+            zv = zn_value(pt, ctx)
+            assert abs(Wn_eval(3, zv, sig, ctx)) < 1e-9 * Wn_monomial_scale(3, zv, sig, ctx)
+        assert sigma_n_degree_probe(3, sig, ctx) == 6
+
+
+def test_sigma3_sextic_holds_on_curve_points(rng):
+    # independent of the fiber search: points from the spectral polynomial
+    # and the wp' signs satisfy the sextic the fiber is built from
+    for tau in (0.22 + 1.31j, 0.375 + 1.25j, 1.2j):
+        ctx = make_context(tau)
+        for _ in range(8):
+            B = _random_B(rng)
+            pt = point_on_Xn(3, B, ctx)
+            if lattice_distance(pt.sigma(), ctx) < 0.05:
+                continue
+            w = weierstrass(pt.sigma(), ctx)[0]
+            coeffs = _fiber_poly(3, w, ctx.g2, ctx.g3)
+            scale = sum(abs(c) * abs(B) ** k for k, c in enumerate(reversed(coeffs)))
+            assert abs(np.polyval(coeffs, B)) < 1e-9 * scale
+
+
+def _sign_search_reference(n, B, ctx, ramified_tol=1e-9, pattern_tol=1e-8):
+    """The former point_on_Xn, verbatim: exhaustive search over the 2^n
+    sign patterns of wp'."""
+    B = complex(B)
+    ln = lame_ln(n, B, ctx)
+    ln_scale = 1.0 + abs(B) ** (2 * n + 1)
+    if abs(ln) < ramified_tol * ln_scale:
+        raise RamifiedPoint(f"l_{n}(B) = {ln:.3e} ~ 0: branch point of Y_{n}")
+    xs = np.roots(spectral_poly(n, B, ctx))
+    if n > 1:
+        sep = min(abs(xs[i] - xs[j]) for i in range(n) for j in range(i + 1, n))
+        if sep < 1e-7 * (1.0 + np.max(np.abs(xs))):
+            raise RamifiedPoint("spectral polynomial has (nearly) multiple roots")
+    pts = [wp_inverse(x, ctx, sign_hint=+1) for x in xs]
+    xs, ys = (list(v) for v in zip(*(weierstrass(p.z, ctx) for p in pts)))
+    scale = 1.0
+    for r in range(max(n - 1, 0)):
+        scale = max(scale, max(abs(ys[i] * xs[i] ** r) for i in range(n)))
+    best_eps, best_res = None, math.inf
+    for mask in range(2 ** n):
+        eps = [1 if not (mask >> i) & 1 else -1 for i in range(n)]
+        res = 0.0
+        for r in range(max(n - 1, 0)):
+            res = max(res, abs(sum(eps[i] * ys[i] * xs[i] ** r for i in range(n))))
+        if res < best_res:
+            best_res, best_eps = res, eps
+    if n > 1 and best_res > pattern_tol * (1.0 + scale):
+        raise NoSignPattern(f"best sign-pattern residual {best_res:.3e} exceeds tolerance")
+    if best_eps[0] < 0:
+        best_eps = [-e for e in best_eps]
+    a = [pts[i] if best_eps[i] > 0 else pts[i].negate(ctx) for i in range(n)]
+    y = [best_eps[i] * ys[i] for i in range(n)]
+    return XnPoint(n=n, a=a, x=list(xs), y=y, B=B, residual=best_res)
+
+
+def _json_or_error(fn, *args):
+    try:
+        return fn(*args).to_json()
+    except (RamifiedPoint, NoSignPattern) as exc:
+        return type(exc).__name__
+
+
+def test_point_on_Xn_matches_sign_search_reference():
+    # the Lagrange signs pick the pattern the 2^n search picked, bit for bit;
+    # four small B raise NoSignPattern on both sides, a branch value RamifiedPoint
+    rng = np.random.default_rng(31)
+    cases = [(tau, n, complex(rng.uniform(-m, m), rng.uniform(-m, m)))
+             for tau in (0.22 + 1.31j, 0.625 + 1.75j, 1.2j, 2.3j)
+             for n in (1, 2, 3, 4) for m in (0.6, 4.0) for _ in range(5)]
+    cases += [(0.125 + 0.75j, 3, -0.023347 - 0.017629j), (0.375 + 2.25j, 3, -0.213194 + 0.259298j),
+              (0.625 + 1.75j, 3, -0.402404 + 0.069969j), (0.125 + 0.75j, 3, -0.123149 + 0.058804j)]
+    ctxs = {tau: make_context(tau) for tau, _, _ in cases}
+    es = np.roots([4.0, 0.0, -ctxs[1.2j].g2, -ctxs[1.2j].g3])
+    cases.append((1.2j, 2, 3 * (es[0] + es[1])))    # a branch value of Y_2
+    for tau, n, B in cases:
+        ctx = ctxs[tau]
+        assert _json_or_error(point_on_Xn, n, B, ctx) == _json_or_error(
+            _sign_search_reference, n, B, ctx), (tau, n, B)
+
+
+def test_curves_module_draws_no_random_numbers():
+    # curve points and fibers are algebraic and deterministic
+    text = (Path(__file__).resolve().parents[1] / "src" / "lamelab" / "curves.py").read_text()
+    assert "default_rng" not in text and "np.random" not in text
 
 
 def test_hermite_halphen_product(ctx, rng):
@@ -428,7 +549,7 @@ def test_sigma2_fiber_complete_on_type2_zeros():
         for j in range(4):
             ctx = make_context(complex((i + 0.5) / 4, 0.5 + 2 * (j + 0.5) / 4))
             for t in find_type2(2, ctx):
-                fiber = _fiber_over_sigma(t.sigma.z, ctx)
+                fiber = _fiber_over_sigma(t.sigma.z, ctx, 2)
                 assert len(fiber) == 3
                 for pt in fiber:
                     # x, y recomputed from the returned a_i
@@ -468,7 +589,7 @@ def test_sigma2_fiber_matches_grid_reference():
     rng = np.random.default_rng(7)
     for _ in range(10):
         sig = TorusPoint.from_rs(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95), ctx).z
-        new = sorted((p.canonical(ctx) for p in _fiber_over_sigma(sig, ctx)),
+        new = sorted((p.canonical(ctx) for p in _fiber_over_sigma(sig, ctx, 2)),
                      key=lambda p: (p.B.real, p.B.imag))
         ref = sorted((p.canonical(ctx) for p in _grid_fiber_reference(sig, ctx)),
                      key=lambda p: (p.B.real, p.B.imag))
