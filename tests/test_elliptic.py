@@ -1,8 +1,11 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lamelab import (
     check_identities,
@@ -15,9 +18,11 @@ from lamelab import (
     wp_inverse,
     zeta_w,
 )
+from lamelab.cli import EXIT_OK, main
 from lamelab.elliptic import (
     TorusPoint,
     _theta_block_arrays,
+    _wp_zeta,
     lattice_distance,
     lattice_distance_many,
     rs_coordinates,
@@ -28,6 +33,7 @@ from lamelab.elliptic import (
     zeta_many,
 )
 from lamelab.errors import PoleProximity
+from lamelab.green import hecke_Z_qseries
 
 from conftest import random_clear_rs, random_tau
 
@@ -399,7 +405,8 @@ def _mp_kernel(z, tau, mp):
 def test_kernel_matches_mpmath_oracle(rng):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
-        for tau in (7.3 + 0.9j, 0.05 + 0.12j, 0.1 + 6j, 0.22 + 1.31j):
+        for tau in (7.3 + 0.9j, 0.05 + 0.12j, 0.1 + 6j, 0.22 + 1.31j,
+                    12j, 20j, 0.3 + 40j):
             c = make_context(tau)
             r, s = rng.uniform(0.1, 0.9, 6), rng.uniform(0.1, 0.9, 6)
             shift = rng.integers(-3, 4, 6) + rng.integers(-3, 4, 6) * c.tau
@@ -419,3 +426,62 @@ def test_kernel_matches_mpmath_oracle(rng):
                     assert abs(val - pp_ref) < 1e-11 * p_scale**1.5
                 for val in (zeta_w(complex(v), c), zv[k], zm[k]):
                     assert abs(val - z_ref) < 1e-11 * (1.0 + abs(z_ref))
+
+
+def _sincos_block(z, freq, coef):
+    # verbatim copy of the array kernel before the phase-factor recurrence
+    zz = np.asarray(z, dtype=complex)
+    ph = np.multiply.outer(zz, freq)
+    s, c = np.sin(ph), np.cos(ph)
+    t0 = s @ coef
+    t1 = c @ (coef * freq)
+    t2 = -(s @ (coef * freq**2))
+    t3 = -(c @ (coef * freq**3))
+    return t0, t1, t2, t3
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(re=st.floats(-1.0, 1.0), im=st.floats(0.1, 20.0),
+       lattice=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                        min_size=1, max_size=8))
+def test_array_kernel_matches_sincos_formula(re, im, lattice):
+    c = make_context(complex(re, im))
+    rs = np.array(lattice)
+    z = rs[:, 0] + rs[:, 1] * c.tau
+    z = z[lattice_distance_many(z, c) > 0.02]
+    assume(z.size)
+    # the kernel's reduction and log-derivatives, theta block from sin/cos
+    s = z.imag / c.tau.imag
+    r = z.real - s * c.tau.real
+    m, n = np.floor(r), np.floor(s)
+    z0 = (r - m) + (s - n) * c.tau
+    t0, t1, t2, t3 = _sincos_block(z0, c._freq, c._coef)
+    u = t1 / t0
+    du = t2 / t0 - u * u
+    p_ref = -c.eta1 - du
+    pp_ref = -(t3 / t0 - 3.0 * u * du - u**3)
+    z_ref = c.eta1 * z0 + u + m * c.eta1 + n * c.eta2
+    p, zeta, pp = _wp_zeta(z, c, prime=True)
+    scale = 1.0 + np.abs(p_ref)
+    assert np.all(np.abs(p - p_ref) < 1e-12 * scale)
+    assert np.all(np.abs(zeta - z_ref) < 1e-12 * scale)
+    assert np.all(np.abs(pp - pp_ref) < 1e-12 * scale**1.5)
+
+
+def test_context_rejects_tau_whose_theta_blocks_overflow():
+    # at Im tau = 80 the eta2 block at z0 + tau overflows a term that
+    # has not underflowed; the NaN Legendre residual must not pass
+    with pytest.raises(ValueError):
+        make_context(80j)
+
+
+def test_hecke_cli_finite_at_high_tau(capsys):
+    # the far theta terms underflow to 0 here; kept, they made eta2 NaN
+    assert main(["hecke", "--tau", "0+20i", "--r", "0.3", "--s", "0.2"]) == EXIT_OK
+
+    def reject(name):
+        raise AssertionError(f"non-finite JSON constant {name}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    want = hecke_Z_qseries(0.3, 0.2, make_context(20j))
+    assert abs(complex(*payload["Z"]) - want) < 1e-9
