@@ -160,13 +160,35 @@ def cmd_solve(args) -> int:
     return code
 
 
+def _json_complex(v, what: str) -> complex:
+    """A JSON [re, im] pair of finite numbers (read as floats) as a complex."""
+    if not (isinstance(v, list) and len(v) == 2
+            and all(type(x) is float and np.isfinite(x) for x in v)):
+        raise ValueError(f"{what} must be a [re, im] pair of finite numbers, not {v!r}")
+    return complex(v[0], v[1])
+
+
+def parse_params(text: str) -> polysys.LameParams:
+    """Parse --params: a JSON object with "A", a list of [re, im] pairs,
+    and "B", one [re, im] pair (a solution object from ``solve`` will do;
+    its other keys are ignored)."""
+    try:
+        # integers as floats: an integer too large for a float reads as inf
+        data = json.loads(text, parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--params is not JSON: {exc}") from None
+    if not isinstance(data, dict) or "A" not in data or "B" not in data:
+        raise ValueError('--params must be a JSON object with keys "A" and "B"')
+    if not isinstance(data["A"], list):
+        raise ValueError('--params "A" must be a list of [re, im] pairs')
+    return polysys.LameParams(A=[_json_complex(a, '"A" entry') for a in data["A"]],
+                              B=_json_complex(data["B"], '"B"'))
+
+
 def cmd_monodromy(args) -> int:
     ctx = make_context(args.tau)
     L = parse_divisor(args.divisor, ctx)
-    data = json.loads(args.params)
-    params = polysys.LameParams(
-        A=[complex(a[0], a[1]) for a in data["A"]],
-        B=complex(data["B"][0], data["B"][1]))
+    params = parse_params(args.params)
     mp = monodromy.monodromy_pair(L, params, ctx)
     label = monodromy.classify_projective(mp)
     extra = {

@@ -48,6 +48,8 @@ CLEARANCE_RADIUS = 1e-2
 #: to the nearest singular translate, so truncation errs by ~_STEP**_ORDER
 _ORDER = 36
 _STEP = 0.3
+#: default clearance of a transported polyline from the source translates
+_PATH_CLEARANCE = 0.55 * CLEARANCE_RADIUS
 
 
 def solve_ivp(*args, **kwargs):
@@ -107,17 +109,13 @@ def potential(z: complex, L: SourceDivisor, params: LameParams,
 
 def _singular_translates(L: SourceDivisor, ctx: LatticeContext,
                          lo: complex, hi: complex, pad: float):
-    """Source translates p + m + n tau inside a bounding box plus padding."""
-    tau = ctx.tau
-    out = []
-    for p in L.points:
-        for m in range(-3, 4):
-            for n in range(-3, 4):
-                q = p.z + m + n * tau
-                if (min(lo.real, hi.real) - pad <= q.real <= max(lo.real, hi.real) + pad
-                        and min(lo.imag, hi.imag) - pad <= q.imag <= max(lo.imag, hi.imag) + pad):
-                    out.append(q)
-    return out
+    """Source translates p + m + n tau inside a bounding box plus padding,
+    in (p, m, n) order."""
+    k = np.arange(-3, 4)
+    q = (np.array([p.z for p in L.points])[:, None, None] + k[:, None] + k * ctx.tau).ravel()
+    inside = ((min(lo.real, hi.real) - pad <= q.real) & (q.real <= max(lo.real, hi.real) + pad)
+              & (min(lo.imag, hi.imag) - pad <= q.imag) & (q.imag <= max(lo.imag, hi.imag) + pad))
+    return q[inside].tolist()
 
 
 def path_with_detours(z0: complex, omega: complex, L: SourceDivisor,
@@ -160,19 +158,26 @@ def path_with_detours(z0: complex, omega: complex, L: SourceDivisor,
 def _walk(pts: np.ndarray, L: SourceDivisor, ctx: LatticeContext,
           clearance: float) -> tuple[np.ndarray, np.ndarray]:
     """Taylor centres z_j and steps h_j along the polyline ``pts``: a step
-    covers ``_STEP`` of the distance to the nearest source translate, or
-    the rest of its segment.  PoleProximity if a centre is within
-    ``clearance`` of a source or a step cannot move it."""
+    covers ``_STEP`` of the distance rho to the nearest source translate,
+    or the rest of its segment.  PoleProximity if a centre is within
+    ``clearance`` of a source or a step cannot move it.
+
+    rho at the vertices comes from one array call; only centres inside a
+    segment take the scalar one.
+    """
     src = [p.z for p in L.points]
+    vertex_rho = lattice_distance_many(np.subtract.outer(pts[:-1], src), ctx).min(axis=1)
     nodes = [complex(pts[0])]
-    for zb in pts[1:].tolist():
+    for zb, rho in zip(pts[1:].tolist(), vertex_rho.tolist()):
         while nodes[-1] != zb:
             z = nodes[-1]
-            rho = min(lattice_distance(z - p, ctx) for p in src)
+            if rho is None:
+                rho = min(lattice_distance(z - p, ctx) for p in src)
             step = _STEP * rho / abs(zb - z)
             nodes.append(zb if step >= 1.0 else z + step * (zb - z))
             if not rho >= clearance or nodes[-1] == z:
                 raise PoleProximity(f"z={z} within clearance of a source translate")
+            rho = None
     z = np.array(nodes)
     return z[:-1], np.diff(z)
 
@@ -217,13 +222,32 @@ def _step_matrices(z: np.ndarray, h: np.ndarray, L: SourceDivisor,
     return np.stack([c.sum(axis=1), np.arange(_ORDER + 1.0) @ c / h[:, None]], axis=1)
 
 
-def _carry(pts: np.ndarray, L: SourceDivisor, params: LameParams,
-           ctx: LatticeContext, clearance: float) -> np.ndarray:
-    """Product of the step matrices along the polyline ``pts``."""
-    Y = np.eye(2, dtype=complex)
-    for T in _step_matrices(*_walk(pts, L, ctx, clearance), L, params, ctx):
-        Y = T @ Y
-    return Y
+def _carry(polylines, L: SourceDivisor, params: LameParams,
+           ctx: LatticeContext, clearance: float) -> list[np.ndarray]:
+    """Product of the step matrices along each polyline, from one Taylor
+    pass over the centres of all of them."""
+    walks = [_walk(pts, L, ctx, clearance) for pts in polylines]
+    T = _step_matrices(*(np.concatenate(a) for a in zip(*walks)), L, params, ctx)
+    out, start = [], 0
+    for z, _ in walks:
+        Y = np.eye(2, dtype=complex)
+        for Tj in T[start:start + len(z)]:
+            Y = Tj @ Y
+        out.append(Y)
+        start += len(z)
+    return out
+
+
+def _cleared(path, L: SourceDivisor, ctx: LatticeContext, clearance: float) -> np.ndarray:
+    """The polyline as an array; PathTooClose if one of 9 points per
+    segment is within ``clearance`` of a source translate."""
+    pts = np.array([complex(p) for p in path])
+    zs = (pts[:-1, None] + np.linspace(0.0, 1.0, 9) * np.diff(pts)[:, None]).ravel()
+    dist = lattice_distance_many(np.subtract.outer(zs, [p.z for p in L.points]), ctx).min(axis=1)
+    if (dist < clearance).any():
+        k = int(np.argmax(dist < clearance))
+        raise PathTooClose(f"path point {zs[k]} is {dist[k]:.2e} from a singular translate")
+    return pts
 
 
 def transport(path, L: SourceDivisor, params: LameParams, ctx: LatticeContext,
@@ -235,14 +259,8 @@ def transport(path, L: SourceDivisor, params: LameParams, ctx: LatticeContext,
     system is traceless); :func:`monodromy_pair` reports its drift.
     """
     if clearance is None:
-        clearance = 0.55 * CLEARANCE_RADIUS
-    pts = np.array([complex(p) for p in path])
-    zs = (pts[:-1, None] + np.linspace(0.0, 1.0, 9) * np.diff(pts)[:, None]).ravel()
-    dist = lattice_distance_many(np.subtract.outer(zs, [p.z for p in L.points]), ctx).min(axis=1)
-    if (dist < clearance).any():
-        k = int(np.argmax(dist < clearance))
-        raise PathTooClose(f"path point {zs[k]} is {dist[k]:.2e} from a singular translate")
-    return _carry(pts, L, params, ctx, 0.5 * clearance)
+        clearance = _PATH_CLEARANCE
+    return _carry([_cleared(path, L, ctx, clearance)], L, params, ctx, 0.5 * clearance)[0]
 
 
 def wronskian_drift(M: np.ndarray) -> float:
@@ -259,27 +277,26 @@ def choose_base_point(L: SourceDivisor, ctx: LatticeContext) -> complex:
     tau = ctx.tau
     grid = np.linspace(0.04, 0.96, 23)
     z0 = (grid[:, None] + grid[None, :] * tau).ravel()
+    src = np.array([p.z for p in L.points])
     m, n = (a.ravel() for a in np.meshgrid(np.arange(-3, 4), np.arange(-3, 4)))
-    d = np.full(z0.shape, math.inf)
+    q_all = (src[:, None] + m + n * tau).ravel()
+    d = lattice_distance_many(np.subtract.outer(z0, src), ctx).min(axis=1)
     for omega in (1.0, tau):
         u = omega / abs(omega)
         z1 = z0 + omega
-        lo_re = np.minimum(z0.real, z1.real)[:, None] - 0.3
-        hi_re = np.maximum(z0.real, z1.real)[:, None] + 0.3
-        lo_im = np.minimum(z0.imag, z1.imag)[:, None] - 0.3
-        hi_im = np.maximum(z0.imag, z1.imag)[:, None] + 0.3
-        for p in L.points:
-            q = p.z + m + n * tau
-            inside = ((lo_re <= q.real) & (q.real <= hi_re)
-                      & (lo_im <= q.imag) & (q.imag <= hi_im))
-            # translates in no box cannot count: dropping them saves memory
-            keep = inside.any(axis=0)
-            q, inside = q[keep], inside[:, keep]
-            t = np.clip(((q - z0[:, None]) / u).real, 0.0, abs(omega))
-            w = z0[:, None] + t * u - q
-            d = np.minimum(d, np.where(inside, np.hypot(w.real, w.imag), math.inf).min(axis=1))
-    for p in L.points:
-        d = np.minimum(d, lattice_distance_many(z0 - p.z, ctx))
+        lo_re = np.minimum(z0.real, z1.real) - 0.3
+        hi_re = np.maximum(z0.real, z1.real) + 0.3
+        lo_im = np.minimum(z0.imag, z1.imag) - 0.3
+        hi_im = np.maximum(z0.imag, z1.imag) + 0.3
+        # a translate outside the bounding box of all the boxes is in none
+        # of them: drop it before the (grid x translates) arrays are built
+        q = q_all[(lo_re.min() <= q_all.real) & (q_all.real <= hi_re.max())
+                  & (lo_im.min() <= q_all.imag) & (q_all.imag <= hi_im.max())]
+        inside = ((lo_re[:, None] <= q.real) & (q.real <= hi_re[:, None])
+                  & (lo_im[:, None] <= q.imag) & (q.imag <= hi_im[:, None]))
+        t = np.clip(((q - z0[:, None]) / u).real, 0.0, abs(omega))
+        w = z0[:, None] + t * u - q
+        d = np.minimum(d, np.where(inside, np.hypot(w.real, w.imag), math.inf).min(axis=1))
     return z0[int(np.argmax(d))]
 
 
@@ -294,8 +311,10 @@ def monodromy_pair(L: SourceDivisor, params: LameParams, ctx: LatticeContext,
         raise ValueError("sum A_i must vanish for an elliptic potential")
     if z0 is None:
         z0 = choose_base_point(L, ctx)
-    S = [transport(path_with_detours(z0, omega, L, ctx), L, params, ctx)
-         for omega in (1.0 + 0j, ctx.tau)]
+    # both loops share one Taylor pass; each is checked, then walked, in turn
+    loops = (_cleared(path_with_detours(z0, omega, L, ctx), L, ctx, _PATH_CLEARANCE)
+             for omega in (1.0 + 0j, ctx.tau))
+    S = _carry(loops, L, params, ctx, 0.5 * _PATH_CLEARANCE)
     return MonodromyPair(S1=S[0], S2=S[1], base=z0,
                          residual=max(wronskian_drift(M) for M in S))
 
@@ -322,7 +341,7 @@ def local_monodromy(p_i, L: SourceDivisor, params: LameParams,
     n = math.ceil(2.0 * math.pi / _STEP)
     pts = zc + radius * np.exp(2j * math.pi * np.arange(n + 1) / n)
     pts[-1] = pts[0]
-    return _carry(pts, L, params, ctx, 0.5 * clearance)
+    return _carry([pts], L, params, ctx, 0.5 * clearance)[0]
 
 
 def classify_projective(mp: MonodromyPair, tol: float = 1e-6) -> str:
@@ -447,8 +466,9 @@ def period_crosscheck(a: complex, i: int, ctx: LatticeContext,
 
 
 def u_density(f: complex, fprime: complex) -> float:
-    """Liouville density u = 8 pi + log(|f'|^2 / (1 + |f|^2)^2) carried by
-    a developing map value and derivative."""
+    """Liouville density u = log 8 + log(|f'|^2 / (1 + |f|^2)^2) carried by
+    a developing map value and derivative; Delta u + e^u = 0 where f is
+    holomorphic with f' != 0."""
     if fprime == 0:
         raise CriticalPointOfF("f' = 0: density diverges")
-    return 8.0 * math.pi + math.log(abs(fprime) ** 2 / (1.0 + abs(f) ** 2) ** 2)
+    return math.log(8.0) + math.log(abs(fprime) ** 2 / (1.0 + abs(f) ** 2) ** 2)

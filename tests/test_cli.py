@@ -198,6 +198,24 @@ def test_monodromy_subcommand(tmp_path, capsys):
     assert len(payload["S1"]) == 4 and len(payload["S2"]) == 4
 
 
+
+@pytest.mark.parametrize("params, message", [
+    ('{"A": [[0, 0], [0, 0], [0, 0]]}', 'keys "A" and "B"'),
+    ('{"A": [[0, 0], [1], [0, 0]], "B": [1, 0]}', '"A" entry must be a [re, im] pair'),
+    ('{"A": [1], "B": [1, 0]}', '"A" entry must be a [re, im] pair'),
+    ('{"A": [[0, 0]], "B": [1, "0"]}', '"B" must be a [re, im] pair'),
+    ('{"A": [[0, 0]], "B": [NaN, 0]}', '"B" must be a [re, im] pair'),
+    ('{"A": [[0, 0]], "B": [1%s, 0]}' % ("0" * 400), '"B" must be a [re, im] pair'),
+    ('[[0, 0], [1, 0]]', 'keys "A" and "B"'),
+    ('{"A": [[0, 0]], "B": [1, 0]', "--params is not JSON"),
+])
+def test_monodromy_malformed_params_is_usage_error(params, message, capsys):
+    assert main(["monodromy", "--tau", "0.22+1.31i", "--divisor", DIVISOR_L3,
+                 "--params", params]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
 def test_closed_stdout_exits_quietly():
     # ``lamelab hecke ... | head -0``: the reader is gone before the write
     import lamelab

@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import math
 import os
 import subprocess
@@ -575,7 +576,7 @@ def test_period_lattice_combination(ctx):
 
 
 def test_u_density_basics():
-    assert u_density(0.0, 1.0) == pytest.approx(8 * math.pi)
+    assert u_density(0.0, 1.0) == pytest.approx(math.log(8))
     with pytest.raises(CriticalPointOfF):
         u_density(1.0, 0.0)
 
@@ -601,3 +602,204 @@ def test_u_density_scaling_family(rng):
     for lam in (-3.0, -1.0, 1.0, 3.0):
         v = u_density(math.exp(lam) * f, math.exp(lam) * fp)
         assert np.isfinite(v)
+
+
+@pytest.mark.parametrize("f, fp, z", [
+    (lambda z: z * z + 0.3, lambda z: 2.0 * z, 0.4 + 0.2j),
+    (cmath.sin, cmath.cos, 0.3 - 0.7j),
+])
+def test_u_density_solves_liouville(f, fp, z):
+    # Delta u + e^u = 0 for every holomorphic f with f' != 0: five-point
+    # Laplacian, truncation O(h^2)
+    def u(w):
+        return u_density(f(w), fp(w))
+
+    h = 1e-3
+    lap = (u(z + h) + u(z - h) + u(z + 1j * h) + u(z - 1j * h) - 4.0 * u(z)) / (h * h)
+    assert abs(lap + math.exp(u(z))) < 1e-4 * math.exp(u(z))
+
+
+# Verbatim copies of the L3 pipeline that the one-pass transport replaced:
+# the reference for the bits of every matrix it returns.
+
+def _singular_translates_parent(L, ctx, lo, hi, pad):
+    tau = ctx.tau
+    out = []
+    for p in L.points:
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                q = p.z + m + n * tau
+                if (min(lo.real, hi.real) - pad <= q.real <= max(lo.real, hi.real) + pad
+                        and min(lo.imag, hi.imag) - pad <= q.imag <= max(lo.imag, hi.imag) + pad):
+                    out.append(q)
+    return out
+
+
+def _walk_parent(pts, L, ctx, clearance):
+    src = [p.z for p in L.points]
+    nodes = [complex(pts[0])]
+    for zb in pts[1:].tolist():
+        while nodes[-1] != zb:
+            z = nodes[-1]
+            rho = min(lattice_distance(z - p, ctx) for p in src)
+            step = monodromy._STEP * rho / abs(zb - z)
+            nodes.append(zb if step >= 1.0 else z + step * (zb - z))
+            if not rho >= clearance or nodes[-1] == z:
+                raise PoleProximity(f"z={z} within clearance of a source translate")
+    z = np.array(nodes)
+    return z[:-1], np.diff(z)
+
+
+def _carry_parent(pts, L, params, ctx, clearance):
+    Y = np.eye(2, dtype=complex)
+    for T in _step_matrices(*_walk_parent(pts, L, ctx, clearance), L, params, ctx):
+        Y = T @ Y
+    return Y
+
+
+def _transport_parent(path, L, params, ctx, clearance=None):
+    if clearance is None:
+        clearance = 0.55 * CLEARANCE_RADIUS
+    pts = np.array([complex(p) for p in path])
+    zs = (pts[:-1, None] + np.linspace(0.0, 1.0, 9) * np.diff(pts)[:, None]).ravel()
+    dist = monodromy.lattice_distance_many(
+        np.subtract.outer(zs, [p.z for p in L.points]), ctx).min(axis=1)
+    if (dist < clearance).any():
+        k = int(np.argmax(dist < clearance))
+        raise PathTooClose(f"path point {zs[k]} is {dist[k]:.2e} from a singular translate")
+    return _carry_parent(pts, L, params, ctx, 0.5 * clearance)
+
+
+def _choose_base_point_parent(L, ctx):
+    tau = ctx.tau
+    grid = np.linspace(0.04, 0.96, 23)
+    z0 = (grid[:, None] + grid[None, :] * tau).ravel()
+    m, n = (a.ravel() for a in np.meshgrid(np.arange(-3, 4), np.arange(-3, 4)))
+    d = np.full(z0.shape, math.inf)
+    for omega in (1.0, tau):
+        u = omega / abs(omega)
+        z1 = z0 + omega
+        lo_re = np.minimum(z0.real, z1.real)[:, None] - 0.3
+        hi_re = np.maximum(z0.real, z1.real)[:, None] + 0.3
+        lo_im = np.minimum(z0.imag, z1.imag)[:, None] - 0.3
+        hi_im = np.maximum(z0.imag, z1.imag)[:, None] + 0.3
+        for p in L.points:
+            q = p.z + m + n * tau
+            inside = ((lo_re <= q.real) & (q.real <= hi_re)
+                      & (lo_im <= q.imag) & (q.imag <= hi_im))
+            keep = inside.any(axis=0)
+            q, inside = q[keep], inside[:, keep]
+            t = np.clip(((q - z0[:, None]) / u).real, 0.0, abs(omega))
+            w = z0[:, None] + t * u - q
+            d = np.minimum(d, np.where(inside, np.hypot(w.real, w.imag), math.inf).min(axis=1))
+    for p in L.points:
+        d = np.minimum(d, monodromy.lattice_distance_many(z0 - p.z, ctx))
+    return z0[int(np.argmax(d))]
+
+
+def _monodromy_pair_parent(L, params, ctx):
+    z0 = _choose_base_point_parent(L, ctx)
+    S = [_transport_parent(path_with_detours(z0, omega, L, ctx), L, params, ctx)
+         for omega in (1.0 + 0j, ctx.tau)]
+    return MonodromyPair(S1=S[0], S2=S[1], base=z0,
+                         residual=max(monodromy.wronskian_drift(M) for M in S))
+
+
+@contextlib.contextmanager
+def _parent_pipeline():
+    """Patch in the parent's translates and walk, so that path_with_detours
+    and local_monodromy run as they did."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monodromy, "_singular_translates", _singular_translates_parent)
+        mp.setattr(monodromy, "_carry", lambda polylines, *rest: [
+            _carry_parent(pts, *rest) for pts in polylines])
+        yield
+
+
+def _assert_parent_bits(L, params, ctx):
+    mp = monodromy_pair(L, params, ctx)
+    with _parent_pipeline():
+        ref = _monodromy_pair_parent(L, params, ctx)
+        ref_local = [local_monodromy(p, L, params, ctx) for p in L.points]
+    assert np.array_equal(mp.S1, ref.S1) and np.array_equal(mp.S2, ref.S2)
+    assert mp.base == ref.base and mp.residual == ref.residual
+    for p, M in zip(L.points, ref_local):
+        assert np.array_equal(local_monodromy(p, L, params, ctx), M)
+
+
+def test_one_pass_keeps_parent_bits_on_criterion7_roots(ctx, criterion7_roots):
+    count = 0
+    for L, sols in criterion7_roots:
+        for params in sols:
+            _assert_parent_bits(L, params, ctx)
+            count += 1
+    assert count == 16
+
+
+TEMPLATE_5 = GENERIC_POINTS + [(0.31, 0.63), (0.68, 0.06)]
+
+
+@pytest.mark.parametrize("tau, points, weights, starts", [
+    (0.22 + 1.31j, TEMPLATE_5, (1, 1, 1, 1, 1), 1200),
+    (1.2j, GENERIC_POINTS, (1, 1, 1), 1200),
+    (0.5 + 2.2j, GENERIC_POINTS, (1, 1, 1), 1200),
+    (1.2j, [(0.0, 0.0)], (3,), 500),
+    (0.5 + 2.2j, [(0.0, 0.0)], (3,), 500),
+])
+def test_one_pass_keeps_parent_bits(tau, points, weights, starts):
+    c = make_context(tau)
+    L = SourceDivisor.from_rs(points, weights, c)
+    sols = solve_system(L, c, SolveConfig(seed=1, max_starts=starts))
+    assert sols
+    for params in sols:
+        _assert_parent_bits(L, params, c)
+
+
+def test_singular_translates_keep_parent_order(ctx):
+    L = SourceDivisor.from_rs(TEMPLATE_5, [1] * 5, ctx)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        lo, hi = (complex(*rng.uniform(-1.5, 2.5, 2)) for _ in range(2))
+        pad = rng.uniform(0.0, 0.4)
+        assert (monodromy._singular_translates(L, ctx, lo, hi, pad)
+                == _singular_translates_parent(L, ctx, lo, hi, pad))
+
+
+def _count_scalar_distances(monkeypatch):
+    calls = []
+    scalar = monodromy.lattice_distance
+
+    def counted(z, c):
+        calls.append(z)
+        return scalar(z, c)
+
+    monkeypatch.setattr(monodromy, "lattice_distance", counted)
+    return calls
+
+
+def test_user_radius_circle_steps_inside_chords(ctx, monkeypatch):
+    # d - r = 0.55 r: near the other source a chord takes several steps,
+    # so _walk's scalar branch runs, and the matrix keeps the parent's bits
+    L = SourceDivisor.from_rs(TEMPLATE_5, [1] * 5, ctx)
+    params = solve_system(L, ctx, SolveConfig(seed=1))[0]
+    p = L.points[0]
+    radius = min(lattice_distance(p.z - q.z, ctx) for q in L.points[1:]) / 1.55
+    calls = _count_scalar_distances(monkeypatch)
+    M = local_monodromy(p, L, params, ctx, radius)
+    assert len(calls) > 2 * L.N
+    monkeypatch.undo()
+    with _parent_pipeline():
+        ref = local_monodromy(p, L, params, ctx, radius)
+    assert np.array_equal(M, ref)
+    assert np.max(np.abs(M + np.eye(2))) < 1e-5
+
+
+def test_default_circle_takes_at_most_n_scalar_distances(ctx, monkeypatch):
+    # every chord of a default circle is one step, whose rho is a vertex's
+    L = SourceDivisor.from_rs(TEMPLATE_5, [1] * 5, ctx)
+    params = solve_system(L, ctx, SolveConfig(seed=1))[0]
+    calls = _count_scalar_distances(monkeypatch)
+    for p in L.points:
+        calls.clear()
+        local_monodromy(p, L, params, ctx)
+        assert len(calls) <= L.N
