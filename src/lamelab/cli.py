@@ -9,6 +9,7 @@ Complex numbers are written as ``a+bi`` with no spaces (``1.5-0.3i``,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import re
@@ -51,6 +52,13 @@ def parse_complex(text: str) -> complex:
     return complex(float(t), 0.0)
 
 
+def _finite(value, flag: str):
+    """``value`` if it is finite, else a ValueError that names ``flag``."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{flag} must be finite, not {value}")
+    return value
+
+
 def parse_divisor(text: str, ctx):
     """Grammar: 'p=r,s:w;p=r,s:w;...' with lattice coordinates r, s."""
     pairs, weights = [], []
@@ -61,7 +69,8 @@ def parse_divisor(text: str, ctx):
         m = re.match(r"^p=([^,:]+),([^,:]+):(\d+)$", chunk)
         if not m:
             raise ValueError(f"bad divisor term {chunk!r} (want p=r,s:w)")
-        pairs.append((float(m.group(1)), float(m.group(2))))
+        pairs.append(tuple(_finite(float(m.group(k)), f"--divisor {chunk!r}: p=r,s")
+                           for k in (1, 2)))
         weights.append(int(m.group(3)))
     if not pairs:
         raise ValueError("empty divisor")
@@ -85,13 +94,14 @@ def cmd_critical(args) -> int:
 
 
 def cmd_hecke(args) -> int:
+    r, s = _finite(args.r, "--r"), _finite(args.s, "--s")
     ctx = make_context(args.tau)
-    v = green.hecke_Z(args.r, args.s, ctx)
-    vq = green.hecke_Z_qseries(args.r, args.s, ctx)
+    v = green.hecke_Z(r, s, ctx)
+    vq = green.hecke_Z_qseries(r, s, ctx)
     _emit(args, json.dumps({
         "schema": 1,
         "tau": [args.tau.real, args.tau.imag],
-        "r": args.r, "s": args.s,
+        "r": r, "s": s,
         "Z": [v.real, v.imag],
         "Z_qseries": [vq.real, vq.imag],
         "agreement": abs(v - vq),
@@ -106,15 +116,14 @@ def cmd_lame_curve(args) -> int:
         bs = np.linspace(float(lo), float(hi), int(num)) + args.b_imag * 1j
         curves.ln_sweep_csv(args.n, bs, ctx, args.output or "ln_sweep.csv")
         return EXIT_OK
-    B = args.B
-    pt = curves.point_on_Xn(args.n, B, ctx)
+    pt = curves.point_on_Xn(args.n, _finite(args.B, "--B"), ctx)
     _emit(args, pt.to_json())
     return EXIT_OK
 
 
 def cmd_premodular(args) -> int:
+    r, s = (_finite(float(x), "--sigma") for x in args.sigma.split(","))
     ctx = make_context(args.tau)
-    r, s = (float(x) for x in args.sigma.split(","))
     sig = TorusPoint.from_rs(r, s, ctx)
     v = curves.Zn_premodular(args.n, sig, ctx)
     _emit(args, json.dumps({

@@ -1,14 +1,14 @@
 """Numerical monodromy of generalized Lame equations on the torus.
 
 The frame of w'' = I(z) w is carried along polylines by Taylor steps,
-each a fixed fraction of the distance to the nearest singular translate;
-local certificates step around a circle along chords.  Straight period
-segments acquire counterclockwise semicircular detours around any
-singular translate inside the corridor, with the singularity passed on
-the left, which fixes the homotopy classes of the two period loops.
-Since sum A_i = 0 the potential is elliptic and the transported frames
-identify directly, so the period transports are the monodromy matrices
-S_1, S_2.
+each a fixed fraction of the distance to the nearest singular translate.
+Straight period segments detour counterclockwise around any singular
+translate inside the corridor, passing it on the left, which fixes the
+homotopy classes of the period loops; since sum A_i = 0 their transports
+are the monodromy matrices S_1, S_2.  Local certificates come from the
+Frobenius expansion at each source p_i: the exponents are -l_i/2 and
+l_i/2 + 1, the log coefficient is -F_i / (l_i + 1), and the frame is at
+p_i + radius.  The chord circle that this replaced is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ from .elliptic import (
     _wp_zeta,
     lattice_distance,
     lattice_distance_many,
+    rs_coordinates,
     weierstrass,
     wp_many,
+    wp_regular_coefficients,
     wp_zeta_many,
     zeta_w,
 )
@@ -183,8 +185,8 @@ def _walk(pts: np.ndarray, L: SourceDivisor, ctx: LatticeContext,
 
 
 def _potential_rows(z: np.ndarray, h: np.ndarray, L: SourceDivisor,
-                    params: LameParams, ctx: LatticeContext) -> np.ndarray:
-    """``rows[j, k] = I_k(z_j) h_j**k``, k <= _ORDER: the Taylor rows of I.
+                    params: LameParams, ctx: LatticeContext, order: int = _ORDER) -> np.ndarray:
+    """``rows[j, k] = I_k(z_j) h_j**k``, k <= order: the Taylor rows of I.
 
     One kernel call gives wp, zeta and wp' at every (centre, source)
     difference; ``p'' = 6 p^2 - g2/2`` gives every wp row at once and
@@ -194,12 +196,12 @@ def _potential_rows(z: np.ndarray, h: np.ndarray, L: SourceDivisor,
         raise ValueError(f"expected {L.N} accessory parameters, got {len(params.A)}")
     p0, z0, p1 = _wp_zeta(z[:, None] - np.array([p.z for p in L.points]), ctx, prime=True)
     h = h[:, None]
-    P = np.zeros(p0.shape + (_ORDER + 1,), dtype=complex)
+    P = np.zeros(p0.shape + (order + 1,), dtype=complex)
     P[..., 0], P[..., 1] = p0, p1 * h
-    for k in range(_ORDER - 1):
+    for k in range(order - 1):
         conv = 6.0 * np.einsum("mij,mij->mi", P[..., : k + 1], P[..., k::-1])
-        P[..., k + 2] = h * h * (conv - (ctx.g2 / 2.0 if k == 0 else 0.0)) / ((k + 1) * (k + 2))
-    Z = np.insert(-P[..., :-1] * h[..., None] / np.arange(1, _ORDER + 1), 0, z0, axis=-1)
+        P[..., k + 2] = h * h * (conv - ctx.g2 / 2.0 if k == 0 else conv) / ((k + 1) * (k + 2))
+    Z = np.insert(-P[..., :-1] * h[..., None] / np.arange(1, order + 1), 0, z0, axis=-1)
     eta = np.array(L.weights) / 2.0
     rows = eta * (eta + 1.0) @ P + np.array(params.A, dtype=complex) @ Z
     rows[:, 0] += params.B
@@ -319,17 +321,17 @@ def monodromy_pair(L: SourceDivisor, params: LameParams, ctx: LatticeContext,
                          residual=max(wronskian_drift(M) for M in S))
 
 
-def local_monodromy(p_i, L: SourceDivisor, params: LameParams,
-                    ctx: LatticeContext, radius: float | None = None) -> np.ndarray:
-    """Transport around the counterclockwise circle
-    z(theta) = p_i + radius e^{i theta}, stepped along chords whose end
-    points lie on the circle, each shorter than ``_STEP * radius``.
-
-    For log-free parameters this must equal (-1)^{l_i} I, the numerical
-    certificate that no logarithmic branch is present.
-    """
+def _frobenius(p_i, L: SourceDivisor, params: LameParams, ctx: LatticeContext,
+               radius: float | None = None):
+    """(l, w1, w1', Omega) on the circle of ``radius`` around p_i, l = 0 off
+    the sources.  In t = z - q, q the source translate at p_i, w1 =
+    t^(l/2+1) (1 + O(t)) is summed with w1' at z1 = p_i + radius; Omega is
+    the resonance of the exponent -l/2 at order l + 1.  The series run in
+    x = t / (z1 - q) to the order K with (radius / rho)^K <= 1e-17, rho the
+    distance to the nearest other singular translate."""
     zc = p_i.z if isinstance(p_i, TorusPoint) else complex(p_i)
-    others = [d for d in (lattice_distance(zc - p.z, ctx) for p in L.points) if d > 1e-9]
+    dist = [lattice_distance(zc - p.z, ctx) for p in L.points]
+    others = [d for d in dist if d > 1e-9]
     if radius is None:
         radius = min([CLEARANCE_RADIUS] + [0.4 * d for d in others])
     clearance = 0.5 * radius
@@ -338,10 +340,53 @@ def local_monodromy(p_i, L: SourceDivisor, params: LameParams,
     gap = min([radius] + [d - radius for d in others])
     if gap <= clearance:
         raise PathTooClose(f"circle of radius {radius:.2e} is {gap:.2e} from a singular translate")
-    n = math.ceil(2.0 * math.pi / _STEP)
-    pts = zc + radius * np.exp(2j * math.pi * np.arange(n + 1) / n)
-    pts[-1] = pts[0]
-    return _carry([pts], L, params, ctx, 0.5 * clearance)[0]
+    if len(others) == L.N:
+        return 0, 0.0, 0.0, 0.0
+    # q's own nearest translate: twice a half period's distance from the lattice
+    halves = np.array([1.0, ctx.tau, 1.0 + ctx.tau]) / 2.0
+    rho = min(others + [2.0 * lattice_distance_many(halves, ctx).min()])
+    if not rho > 1.25 * radius:   # as the chord circle: within radius / 4, or enclosed
+        raise PoleProximity(f"circle of radius {radius:.2e} nears a translate {rho:.2e} away")
+    i = dist.index(min(dist))
+    l, eta, a = L.weights[i], L.weights[i] / 2.0, complex(params.A[i])
+    K = max(l, math.ceil(17.0 / math.log10(rho / radius)))
+    r, s = (round(x) for x in rs_coordinates(zc - L.points[i].z, ctx))
+    q = L.points[i].z + r + s * ctx.tau
+    h = zc + radius - q
+    rest = SourceDivisor(L.points[:i] + L.points[i + 1:], L.weights[:i] + L.weights[i + 1:])
+    rows = _potential_rows(np.array([q]), np.array([h]), rest, LameParams(
+        list(params.A[:i]) + list(params.A[i + 1:]), params.B), ctx, K)[0]
+    # the source's own wp and zeta, poles removed; zeta's translate adds r eta1 + s eta2
+    preg = wp_regular_coefficients(ctx, K) * h ** np.arange(K + 1)
+    rows += eta * (eta + 1.0) * preg
+    rows[1:] -= a * h * preg[:-1] / np.arange(1, K + 1)
+    rows[0] += a * (r * ctx.eta1 + s * ctx.eta2)
+    # w_xx = (eta (eta + 1) / x^2 + a h / x + sum_k c_k x^k) w, so the exponent e
+    # has n (n + 2e - 1) a_n = a h a_{n-1} + sum_k c_k a_{n-2-k}
+    c, ah = (h * h * rows).tolist(), a * h
+
+    def series(e: float, n_max: int) -> list:
+        coef = [1.0 + 0j]   # a_0 .. a_{n_max}; at the resonance, the right side
+        for n in range(1, n_max + 1):
+            coef.append((ah * coef[-1] + sum(c[k] * coef[n - 2 - k] for k in range(n - 1)))
+                        / (n * (n + 2.0 * e - 1.0) or 1.0))
+        return coef
+
+    coef = series(eta + 1.0, K)
+    dw1 = h ** eta * sum((n + eta + 1.0) * x for n, x in enumerate(coef))
+    return l, h ** (eta + 1.0) * sum(coef), dw1, series(-eta, l + 1)[-1] / h ** (l + 1)
+
+
+def local_monodromy(p_i, L: SourceDivisor, params: LameParams,
+                    ctx: LatticeContext, radius: float | None = None) -> np.ndarray:
+    """Monodromy of (w, w') at z1 = p_i + radius around the counterclockwise
+    circle p_i + radius e^{i theta}: the Frobenius solutions have Wronskian
+    -(l + 1) and log coefficient kappa = Omega / (l + 1), so M = (-1)^l (I -
+    2 pi i kappa / (l + 1) [[-w1 w1', w1^2], [-w1'^2, w1 w1']]); I off the sources."""
+    l, w1, dw1, omega = _frobenius(p_i, L, params, ctx, radius)
+    k = 2j * math.pi * omega / (l + 1) ** 2
+    return (-1.0) ** l * np.array([[1.0 + k * w1 * dw1, -k * w1 * w1],
+                                   [k * dw1 * dw1, 1.0 - k * w1 * dw1]])
 
 
 def classify_projective(mp: MonodromyPair, tol: float = 1e-6) -> str:

@@ -233,3 +233,20 @@ def test_closed_stdout_exits_quietly():
         os.close(write_end)
     assert out.returncode == EXIT_OK
     assert out.stderr == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["hecke", "--r", "inf", "--s", "0.1"], "--r"),
+    (["hecke", "--r", "0.2", "--s=-inf"], "--s"),
+    (["hecke", "--r", "nan", "--s", "0.1"], "--r"),
+    (["premodular", "--n", "2", "--sigma", "nan,0.1"], "--sigma"),
+    (["solve", "--divisor", "p=nan,0.2:1;p=0.5,0.5:1;p=0.3,0.8:1"], "p=r,s"),
+    (["monodromy", "--divisor", "p=inf,0.2:1", "--params", '{"A": [[0, 0]], "B": [1, 0]}'],
+     "p=r,s"),
+    (["lame-curve", "--n", "1", "--B=nan+0i"], "--B"),
+], ids=["r-inf", "s-minus-inf", "r-nan", "sigma", "solve-divisor", "monodromy-divisor", "B"])
+def test_nonfinite_coordinates_are_usage_errors(argv, flag, capsys):
+    assert main(argv[:1] + ["--tau", "0.22+1.31i"] + argv[1:]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err and "must be finite" in err

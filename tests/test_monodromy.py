@@ -13,6 +13,7 @@ from lamelab import (
     SolveConfig,
     SourceDivisor,
     TorusPoint,
+    build_system,
     classify_projective,
     find_type2,
     hermite_halphen,
@@ -218,6 +219,27 @@ def _local_reference(p, L, params, ctx):
 
     return _integrate_reference(circle, 2.0 * math.pi, np.eye(2, dtype=complex), L, params,
                                 ctx, 0.25 * radius, 1e-12, 1e-12)
+
+
+def _local_circle_reference(p_i, L, params, ctx, radius=None):
+    """The chord circle that the Frobenius expansion replaced, verbatim but
+    for the module prefixes: transport around p_i + radius e^{i theta},
+    stepped along chords whose end points lie on the circle."""
+    zc = p_i.z if isinstance(p_i, TorusPoint) else complex(p_i)
+    others = [d for d in (monodromy.lattice_distance(zc - p.z, ctx) for p in L.points)
+              if d > 1e-9]
+    if radius is None:
+        radius = min([CLEARANCE_RADIUS] + [0.4 * d for d in others])
+    clearance = 0.5 * radius
+    # exact: the circle is radius from its centre and d - radius from a source
+    # at lattice distance d (negative when the circle encloses it)
+    gap = min([radius] + [d - radius for d in others])
+    if gap <= clearance:
+        raise PathTooClose(f"circle of radius {radius:.2e} is {gap:.2e} from a singular translate")
+    n = math.ceil(2.0 * math.pi / monodromy._STEP)
+    pts = zc + radius * np.exp(2j * math.pi * np.arange(n + 1) / n)
+    pts[-1] = pts[0]
+    return monodromy._carry([pts], L, params, ctx, 0.5 * clearance)[0]
 
 
 @pytest.fixture(scope="module")
@@ -439,6 +461,97 @@ def test_local_monodromy_detects_log_terms(ctx, L111, roots_l3):
     M = local_monodromy(L111.points[0], L111, bad, ctx)
     defect = np.max(np.abs(M + np.eye(2)))
     assert defect > 1e-3
+
+
+def _relative_gap(M, R):
+    return np.max(np.abs(M - R)) / np.max(np.abs(R))
+
+
+def _random_params(rng, n):
+    A = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return LameParams(A=list(A - A.mean()), B=complex(rng.normal(), rng.normal()))
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 1), (3, 1, 1), (5, 3, 1), (2, 1, 1),
+                                     (1, 1, 1, 1, 1)])
+def test_frobenius_resonance_is_minus_obstruction(ctx, rng, weights):
+    # the resonance of the exponent -l_i/2 is the obstruction F_i of build_system
+    L = SourceDivisor.from_rs(TEMPLATE_5[:len(weights)], weights, ctx)
+    system = build_system(L, ctx)
+    for _ in range(4):
+        A = rng.normal(size=L.N) + 1j * rng.normal(size=L.N)
+        params = LameParams(A=list(A), B=complex(rng.normal(), rng.normal()))
+        for p, F in zip(L.points, system[1:]):
+            omega = monodromy._frobenius(p, L, params, ctx, CLEARANCE_RADIUS)[3]
+            want = -F.evaluate(list(A) + [params.B])
+            assert abs(omega - want) < 1e-10 * abs(want)
+
+
+def test_frobenius_matches_circle_on_criterion7_and_template_roots(ctx, criterion7_roots):
+    L5 = SourceDivisor.from_rs(TEMPLATE_5, [1] * 5, ctx)
+    count = 0
+    for L, sols in criterion7_roots + [(L5, solve_system(L5, ctx, SolveConfig(seed=1)))]:
+        for params in sols:
+            for p in L.points:
+                M = local_monodromy(p, L, params, ctx)
+                assert _relative_gap(M, _local_circle_reference(p, L, params, ctx)) < 1e-9
+            count += 1
+    assert count > 16
+
+
+@pytest.mark.parametrize("tau", [0.22 + 1.31j, 1.2j, 0.5 + 2.2j, 0.4 + 0.6j])
+def test_frobenius_matches_circle_on_random_parameters(tau):
+    c = make_context(tau)
+    rng = np.random.default_rng(11)
+    for weights in ((2,), (3,), (6,), (2, 2), (5, 3, 1), (7, 1, 1)):
+        points = [(0.0, 0.0)] if len(weights) == 1 else GENERIC_POINTS[:len(weights)]
+        L = SourceDivisor.from_rs(points, weights, c)
+        for _ in range(3):
+            params = _random_params(rng, L.N)
+            for radius in (None, 0.05):
+                for p in L.points:
+                    M = local_monodromy(p, L, params, c, radius)
+                    R = _local_circle_reference(p, L, params, c, radius)
+                    assert _relative_gap(M, R) < 1e-9
+
+
+def test_frobenius_log_defect_matches_circle(ctx, L111, roots_l3):
+    params = roots_l3[0]
+    bad = LameParams(A=[params.A[0] + 0.01, params.A[1] - 0.01, params.A[2]], B=params.B)
+    p = L111.points[0]
+    M, R = local_monodromy(p, L111, bad, ctx), _local_circle_reference(p, L111, bad, ctx)
+    assert _relative_gap(M, R) < 1e-9
+    defect = np.max(np.abs(M + np.eye(2)))
+    assert abs(defect - np.max(np.abs(R + np.eye(2)))) < 1e-9 * defect
+
+
+def test_frobenius_keeps_the_circle_contract(ctx, rng):
+    # a lone [3] source: its own translates, 1 away, bound the radius
+    L = SourceDivisor.from_rs([(0.0, 0.0)], [3], ctx)
+    params = _random_params(rng, 1)
+    for radius in (0.3, 0.6):
+        M = local_monodromy(L.points[0], L, params, ctx, radius)
+        R = _local_circle_reference(L.points[0], L, params, ctx, radius)
+        assert _relative_gap(M, R) < 1e-9
+    for radius in (0.9, 1.2):
+        for local in (local_monodromy, _local_circle_reference):
+            with pytest.raises(PoleProximity):
+                local(L.points[0], L, params, ctx, radius)
+
+
+def test_frobenius_at_source_translates_matches_circle(ctx, rng):
+    # a translate's zeta carries the quasi-periods, which the expansion adds
+    L = SourceDivisor.from_rs(GENERIC_POINTS, [3, 1, 1], ctx)
+    params = _random_params(rng, L.N)
+    for p in L.points:
+        for shift in (1.0, ctx.tau, 2.0 * ctx.tau - 1.0):
+            M = local_monodromy(p.z + shift, L, params, ctx)
+            assert _relative_gap(M, _local_circle_reference(p.z + shift, L, params, ctx)) < 1e-9
+
+
+def test_local_monodromy_off_source_is_identity(ctx, L111, roots_l3):
+    M = local_monodromy(0.4 + 0.3 * ctx.tau, L111, roots_l3[0], ctx)
+    assert np.array_equal(M, np.eye(2))
 
 
 def test_classify_unipotent_pair():
@@ -785,13 +898,14 @@ def test_user_radius_circle_steps_inside_chords(ctx, monkeypatch):
     p = L.points[0]
     radius = min(lattice_distance(p.z - q.z, ctx) for q in L.points[1:]) / 1.55
     calls = _count_scalar_distances(monkeypatch)
-    M = local_monodromy(p, L, params, ctx, radius)
+    M = _local_circle_reference(p, L, params, ctx, radius)
     assert len(calls) > 2 * L.N
     monkeypatch.undo()
     with _parent_pipeline():
-        ref = local_monodromy(p, L, params, ctx, radius)
+        ref = _local_circle_reference(p, L, params, ctx, radius)
     assert np.array_equal(M, ref)
     assert np.max(np.abs(M + np.eye(2))) < 1e-5
+    assert np.max(np.abs(local_monodromy(p, L, params, ctx, radius) - M)) < 1e-9
 
 
 def test_default_circle_takes_at_most_n_scalar_distances(ctx, monkeypatch):
