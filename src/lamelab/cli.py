@@ -158,13 +158,10 @@ def cmd_solve(args) -> int:
         sols = exc.solutions
         code = EXIT_PARTIAL
         print(f"warning: {exc}", file=sys.stderr)
-    payload = json.loads(polysys.solutions_json(L, sols, expected))
+    payload = polysys.solutions_json(L, sols, expected)
     if args.check_monodromy:
-        labels = []
-        for sol in sols:
-            mp = monodromy.monodromy_pair(L, sol, ctx)
-            labels.append(monodromy.classify_projective(mp))
-        payload["classifications"] = labels
+        payload["classifications"] = [
+            monodromy.classify_projective(monodromy.monodromy_pair(L, sol, ctx)) for sol in sols]
     _emit(args, json.dumps(payload, indent=2))
     return code
 
@@ -311,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=parse_complex, required=True,
                        help="modulus a+bi with b > 0, no spaces")
         p.add_argument("--output", default=None)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("critical", help="critical points of the Green function")
     add_tau(p)
@@ -349,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--divisor", required=True, help="p=r,s:w;p=r,s:w;...")
     p.add_argument("--max-starts", type=int, default=1200)
     p.add_argument("--check-monodromy", action="store_true")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("monodromy", help="monodromy pair for given parameters")
@@ -363,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--germ-k", type=int, default=0)
     p.add_argument("--n", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("germ", help="germ constraint table for even divisors")
@@ -370,14 +368,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--symmetric", action="store_true")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_germ)
     return ap
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """``--s -1e-3`` as ``--s=-1e-3``: argparse would take a token that starts
+    with one "-", other than -h or a plain -1 or -.5, for an option name."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1][:2] == "--" and "=" not in out[-1] and re.match(r"-[^-h]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

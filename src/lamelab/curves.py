@@ -328,8 +328,8 @@ def _rs_distance(r: float, s: float, r0: float, s0: float) -> float:
     return math.hypot(min((r - r0) % 1.0, (r0 - r) % 1.0), min((s - s0) % 1.0, (s0 - s) % 1.0))
 
 
-def _is_two_torsion(r: float, s: float, tol: float = 1e-8) -> bool:
-    return any(_rs_distance(r, s, hr, hs) < tol for hr, hs in E2_RS)
+def _is_two_torsion(r: float, s: float) -> bool:
+    return any(_rs_distance(r, s, hr, hs) < 1e-8 for hr, hs in E2_RS)
 
 
 def _fiber_poly(n: int, w: complex, g2: complex, g3: complex) -> list[complex]:
@@ -503,8 +503,8 @@ def find_type2(n: int, ctx: LatticeContext, grid: int = 64) -> list[Type2Solutio
     wind = _winding_cells(_wn(n, Zg - R * ctx.eta1 - S * ctx.eta2, P, Pp, ctx))
     cells = list(zip(*np.where(np.abs(np.round(wind)) >= 1)))
     for i, j in cells:
-        r0 = (rr[i] + rr[min(i + 1, grid - 1)]) / 2
-        s0 = (ss[j] + ss[min(j + 1, grid - 1)]) / 2
+        r0 = (rr[i] + rr[i + 1]) / 2
+        s0 = (ss[j] + ss[j + 1]) / 2
         hit = _damped_newton(residual, jacobian, np.array([r0, s0]), 1e-11, 80, cap=0.3)
         if hit is None:
             continue

@@ -29,7 +29,7 @@ class LatticeContext:
     """Immutable per-torus cache: tau, q, invariants, quasi-periods.
 
     ``series_terms`` is the number of theta terms kept; the default makes
-    |q|**series_terms**2 < 1e-18 so truncation sits far below ``tol``.
+    |q|**series_terms**2 < 1e-18 so truncation sits far below ``tol`` (1e-9).
     """
 
     tau: complex
@@ -67,8 +67,9 @@ def default_series_terms(tau: complex) -> int:
     return max(8, int(math.ceil(0.5 * (2.5 + math.sqrt(6.25 + 4.0 * c)))) + 3)
 
 
-def make_context(tau: complex, series_terms: int | None = None, tol: float = 1e-9) -> LatticeContext:
+def make_context(tau: complex, series_terms: int | None = None) -> LatticeContext:
     """Build a LatticeContext for the torus with periods (1, tau), Im tau > 0."""
+    tol = 1e-9
     tau = complex(tau)
     if not (cmath.isfinite(tau) and tau.imag > 0):
         raise ValueError(f"tau must be finite with Im(tau) > 0, got {tau}")
@@ -235,10 +236,10 @@ def _wp_zeta(z, ctx: LatticeContext, prime: bool = False):
     return wp_val, zeta, -(t3 / t0 - 3.0 * u * du - u**3)
 
 
-def _require_clear(z: complex, ctx: LatticeContext, clearance: float = POLE_CLEARANCE):
+def _require_clear(z: complex, ctx: LatticeContext):
     d = lattice_distance(z, ctx)
-    if d < clearance:
-        raise PoleProximity(f"z={z} is {d:.2e} from the lattice (clearance {clearance:g})")
+    if d < POLE_CLEARANCE:
+        raise PoleProximity(f"z={z} is {d:.2e} from the lattice (clearance {POLE_CLEARANCE:g})")
 
 
 def zeta_w(z: complex, ctx: LatticeContext) -> complex:
@@ -291,7 +292,7 @@ def wp_zeta_many(z: np.ndarray, ctx: LatticeContext) -> tuple[np.ndarray, np.nda
     return _wp_zeta(np.asarray(z, dtype=complex), ctx)
 
 
-def eisenstein(tau: complex, terms: int | None = None) -> tuple[complex, complex]:
+def eisenstein(tau: complex) -> tuple[complex, complex]:
     """g2 = 60*E4(lattice), g3 = 140*E6(lattice) by q-expansion.
 
     Uses the normalized series 1 + 240 sum sigma3(n) Q^n and
@@ -301,8 +302,7 @@ def eisenstein(tau: complex, terms: int | None = None) -> tuple[complex, complex
     tau = complex(tau)
     if not tau.imag > 0:
         raise ValueError("Im(tau) must be positive")
-    if terms is None:
-        terms = int(math.ceil(18.0 * math.log(10.0) / (2.0 * math.pi * tau.imag))) + 4
+    terms = int(math.ceil(18.0 * math.log(10.0) / (2.0 * math.pi * tau.imag))) + 4
     Q = cmath.exp(TWO_PI_I * tau)
     sig3 = np.zeros(terms + 1)
     sig5 = np.zeros(terms + 1)
@@ -318,27 +318,26 @@ def eisenstein(tau: complex, terms: int | None = None) -> tuple[complex, complex
     return complex(g2), complex(g3)
 
 
-def wp_inverse(x: complex, ctx: LatticeContext, sign_hint: int = +1,
-               seeds: int = 9, tol: float = 1e-11) -> TorusPoint:
+def wp_inverse(x: complex, ctx: LatticeContext, sign_hint: int = +1) -> TorusPoint:
     """Solve wp(a) = x; the branch a / -a follows ``sign_hint``.
 
     With sign_hint = +1 the returned point has wp'(a) matching the
     principal square root of 4x^3 - g2 x - g3; -1 selects the mirror.
-    :func:`_damped_newton` runs from the best cells of a coarse seed grid
-    until |wp(a) - x| < tol (1 + |x|).  At a branch value x = e_i, where
+    :func:`_damped_newton` runs from the best cells of a 9 x 9 seed grid
+    until |wp(a) - x| < 1e-11 (1 + |x|).  At a branch value x = e_i, where
     that is only sqrt-accurate, a second run on wp'(a) = 0 polishes a
     onto the half-period.
     """
     x = complex(x)
     tau = ctx.tau
-    grid = np.linspace(0.07, 0.93, seeds)
+    grid = np.linspace(0.07, 0.93, 9)
     cand = (grid[:, None] + grid[None, :] * tau).ravel()
     vals, _ = wp_many(cand, ctx)
     order = np.argsort(np.abs(vals - x))
     a_found = None
     for idx in order[:6]:
         a = complex(cand[idx])
-        ok = _newton_wp(a, x, ctx, tol)
+        ok = _newton_wp(a, x, ctx, 1e-11)
         if ok is not None:
             a_found = ok
             break
@@ -614,10 +613,10 @@ class IdentityReport:
         return max(self.addition_square, self.cubic_three_point, self.zeta_sum_square)
 
 
-def _random_clear_point(rng, ctx, margin=0.06):
+def _random_clear_point(rng, ctx):
     for _ in range(200):
-        r = rng.uniform(margin, 1.0 - margin)
-        s = rng.uniform(margin, 1.0 - margin)
+        r = rng.uniform(0.06, 0.94)
+        s = rng.uniform(0.06, 0.94)
         z = r + s * ctx.tau
         if lattice_distance(z, ctx) > 3 * POLE_CLEARANCE:
             return z

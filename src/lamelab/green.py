@@ -58,7 +58,7 @@ def hecke_Z(r: float, s: float, ctx: LatticeContext) -> complex:
     return zeta_w(z, ctx) - r * ctx.eta1 - s * ctx.eta2
 
 
-def hecke_Z_qseries(r: float, s: float, ctx: LatticeContext, terms: int | None = None) -> complex:
+def hecke_Z_qseries(r: float, s: float, ctx: LatticeContext) -> complex:
     """Z(r, s) from the Fourier side: 2 pi i (s - 1/2) plus geometric tails.
 
     Independent of the theta route, so agreement with :func:`hecke_Z` is a
@@ -70,10 +70,9 @@ def hecke_Z_qseries(r: float, s: float, ctx: LatticeContext, terms: int | None =
     if lattice_distance(r0 + s0 * ctx.tau, ctx) < POLE_CLEARANCE:
         raise PoleProximity("(r, s) is on the lattice")
     if s0 > 0.5:
-        return -hecke_Z_qseries(1.0 - r0, 1.0 - s0, ctx, terms)
+        return -hecke_Z_qseries(1.0 - r0, 1.0 - s0, ctx)
     tau = ctx.tau
-    if terms is None:
-        terms = int(math.ceil(18.0 * math.log(10.0) / (2.0 * math.pi * tau.imag * max(0.5, 1.0 - s0)))) + 6
+    terms = int(math.ceil(18.0 * math.log(10.0) / (2.0 * math.pi * tau.imag * max(0.5, 1.0 - s0)))) + 6
     z = r0 + s0 * tau
     u = cmath.exp(2j * math.pi * z)
     Q = cmath.exp(2j * math.pi * tau)
@@ -246,33 +245,26 @@ def _omega_label(cs: "CriticalSet", boundary_tol: float) -> str:
     return "Omega5"
 
 
-def classify_omega(ctx: LatticeContext, grid: int = 48, boundary_tol: float = 1e-6) -> str:
+def classify_omega(ctx: LatticeContext) -> str:
     """'Omega3' / 'Omega5' from the zero count; 'NearBoundary' when the
-    extra pair sits within ``boundary_tol`` of a half-period in (r, s)
-    (the degenerate splitting regime)."""
-    return _omega_label(critical_points(ctx, grid=grid), boundary_tol)
+    extra pair sits within 1e-6 of a half-period in (r, s) (the
+    degenerate splitting regime)."""
+    return _omega_label(critical_points(ctx), 1e-6)
 
 
-def gamma0_2_winding(r: float, s: float, height: float = 4.0,
-                     cusp_gap: float = 0.05, samples: int = 1400) -> float:
+def gamma0_2_winding(r: float, s: float) -> float:
     """Winding number of tau -> Z_{r,s}(tau) along the boundary of the
-    standard Gamma_0(2) fundamental domain, truncated near the cusps.
+    standard Gamma_0(2) fundamental domain, cut at height 4 and 0.05 from the cusps.
 
     Counts the zeros of Z_{r,s} inside the domain; the result should be an
     integer to high accuracy whenever the boundary stays clear of zeros.
     """
-    theta0 = 2.0 * math.asin(min(1.0, cusp_gap))
-    pts: list[complex] = []
-    n_arc = samples // 2
-    n_side = samples // 4
-    for t in np.linspace(height, cusp_gap, n_side):
-        pts.append(complex(0.0, t))
-    for th in np.linspace(math.pi - theta0, theta0, n_arc):
-        pts.append(0.5 + 0.5 * cmath.exp(1j * th))
-    for t in np.linspace(cusp_gap, height, n_side):
-        pts.append(complex(1.0, t))
-    for x in np.linspace(1.0, 0.0, n_side):
-        pts.append(complex(x, height))
+    height, cusp_gap = 4.0, 0.05
+    theta0 = 2.0 * math.asin(cusp_gap)
+    pts = ([complex(0.0, t) for t in np.linspace(height, cusp_gap, 350)]
+           + [0.5 + 0.5 * cmath.exp(1j * th) for th in np.linspace(math.pi - theta0, theta0, 700)]
+           + [complex(1.0, t) for t in np.linspace(cusp_gap, height, 350)]
+           + [complex(x, height) for x in np.linspace(1.0, 0.0, 350)])
     total = 0.0
     prev = None
     for tau in pts:

@@ -52,6 +52,8 @@ _ORDER = 36
 _STEP = 0.3
 #: default clearance of a transported polyline from the source translates
 _PATH_CLEARANCE = 0.55 * CLEARANCE_RADIUS
+#: classify_projective's commutator tolerance, and unitarizable's on |eigenvalue ratio| - 1
+_CLASS_TOL = 1e-6
 
 
 def solve_ivp(*args, **kwargs):
@@ -121,8 +123,7 @@ def _singular_translates(L: SourceDivisor, ctx: LatticeContext,
 
 
 def path_with_detours(z0: complex, omega: complex, L: SourceDivisor,
-                      ctx: LatticeContext, radius: float | None = None,
-                      arc_nodes: int = 14) -> list[complex]:
+                      ctx: LatticeContext, radius: float | None = None) -> list[complex]:
     """Straight segment z0 -> z0 + omega with counterclockwise semicircular
     detours (radius = clearance, shrunk if sources are closer) around every
     singular translate lying within the corridor; the singularity stays on
@@ -150,7 +151,7 @@ def path_with_detours(z0: complex, omega: complex, L: SourceDivisor,
         e_out = foot + radius * u
         path.append(e_in)
         # arg sweeps -pi -> 0 in the frame of u: counterclockwise half-turn
-        for th in np.linspace(-math.pi, 0.0, arc_nodes)[1:-1]:
+        for th in np.linspace(-math.pi, 0.0, 14)[1:-1]:
             path.append(foot + radius * cmath.exp(1j * th) * u)
         path.append(e_out)
     path.append(z0 + omega)
@@ -330,7 +331,7 @@ def _frobenius(p_i, L: SourceDivisor, params: LameParams, ctx: LatticeContext,
     x = t / (z1 - q) to the order K with (radius / rho)^K <= 1e-17, rho the
     distance to the nearest other singular translate."""
     zc = p_i.z if isinstance(p_i, TorusPoint) else complex(p_i)
-    dist = [lattice_distance(zc - p.z, ctx) for p in L.points]
+    dist = lattice_distance_many(zc - np.array([p.z for p in L.points]), ctx).tolist()
     others = [d for d in dist if d > 1e-9]
     if radius is None:
         radius = min([CLEARANCE_RADIUS] + [0.4 * d for d in others])
@@ -389,7 +390,7 @@ def local_monodromy(p_i, L: SourceDivisor, params: LameParams,
                                    [k * dw1 * dw1, 1.0 - k * w1 * dw1]])
 
 
-def classify_projective(mp: MonodromyPair, tol: float = 1e-6) -> str:
+def classify_projective(mp: MonodromyPair) -> str:
     """{K4 | AbelianDiagonal | AbelianUnipotent | Other} from the pair.
 
     K4 requires anticommuting S_i with vanishing normalized traces (the
@@ -397,9 +398,9 @@ def classify_projective(mp: MonodromyPair, tol: float = 1e-6) -> str:
     """
     C = mp.commutator()
     scale = np.max(np.abs(C))
-    if np.max(np.abs(C - np.eye(2))) < tol * (1.0 + scale):
+    if np.max(np.abs(C - np.eye(2))) < _CLASS_TOL * (1.0 + scale):
         commuting = True
-    elif np.max(np.abs(C + np.eye(2))) < tol * (1.0 + scale):
+    elif np.max(np.abs(C + np.eye(2))) < _CLASS_TOL * (1.0 + scale):
         commuting = False
     else:
         raise Inconsistent("commutator is neither +I nor -I within tolerance")
@@ -422,7 +423,7 @@ def classify_projective(mp: MonodromyPair, tol: float = 1e-6) -> str:
     return "AbelianUnipotent"
 
 
-def unitarizable(mp: MonodromyPair, tol: float = 1e-6) -> bool:
+def unitarizable(mp: MonodromyPair) -> bool:
     """True iff both eigenvalue ratios have unit modulus in a simultaneous
     eigenframe; only meaningful for the AbelianDiagonal class."""
     label = classify_projective(mp)
@@ -437,7 +438,7 @@ def unitarizable(mp: MonodromyPair, tol: float = 1e-6) -> bool:
     for M in (mp.S1, mp.S2):
         D = Vi @ M @ V
         ratio = D[0, 0] / D[1, 1]
-        if abs(abs(ratio) - 1.0) > tol:
+        if abs(abs(ratio) - 1.0) > _CLASS_TOL:
             return False
     return True
 
@@ -488,9 +489,8 @@ def _clear_period_bases(a: complex, i: int, ctx: LatticeContext, count: int):
     return [z0[k] for k in best if d[k] > 0.04]
 
 
-def period_crosscheck(a: complex, i: int, ctx: LatticeContext,
-                      bases: int = 6) -> dict:
-    """Closed form against quadrature over several segment classes.
+def period_crosscheck(a: complex, i: int, ctx: LatticeContext) -> dict:
+    """Closed form against quadrature from up to 6 base points.
 
     Every segment must agree with the closed form up to an integer
     multiple of 2 pi i (branch crossings of the log); segments in the
@@ -500,7 +500,7 @@ def period_crosscheck(a: complex, i: int, ctx: LatticeContext,
     closed = period_integral(a, i, ctx)
     two_pi = 2.0 * math.pi
     worst_2pi, best_4pi = 0.0, math.inf
-    for z0 in _clear_period_bases(a, i, ctx, bases):
+    for z0 in _clear_period_bases(a, i, ctx, 6):
         quad = period_integral_quadrature(a, i, ctx, z0)
         m = (closed - quad) / (2j * math.pi)
         worst_2pi = max(worst_2pi, abs(m - round(m.real)))

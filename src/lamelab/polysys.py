@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Fr
@@ -66,7 +65,7 @@ class SourceDivisor:
         div.validate(ctx)
         return div
 
-    def validate(self, ctx: LatticeContext, clearance: float = POLE_CLEARANCE) -> None:
+    def validate(self, ctx: LatticeContext) -> None:
         if len(self.points) != len(self.weights) or not self.points:
             raise ValueError("points and weights must be nonempty and aligned")
         if any(w < 1 for w in self.weights):
@@ -75,7 +74,7 @@ class SourceDivisor:
         for i in range(n):
             for j in range(i + 1, n):
                 d = lattice_distance(self.points[i].z - self.points[j].z, ctx)
-                if d < clearance:
+                if d < POLE_CLEARANCE:
                     raise DistinctnessViolation(
                         f"sources {i} and {j} are {d:.2e} apart mod the lattice")
 
@@ -541,8 +540,8 @@ def solve_system(L: SourceDivisor, ctx: LatticeContext,
 
 
 def solutions_json(L: SourceDivisor, sols: list[LameParams],
-                   expected: int | None) -> str:
-    return json.dumps({
+                   expected: int | None) -> dict:
+    return {
         "schema": 1,
         "divisor": {
             "points": [{"r": p.r, "s": p.s} for p in L.points],
@@ -559,7 +558,7 @@ def solutions_json(L: SourceDivisor, sols: list[LameParams],
             }
             for s in sols
         ],
-    }, indent=2)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +672,7 @@ def germ_series(L: SourceDivisor, sign_assignment, K: int,
     zhat = zhat_ij.sum(axis=1)
     a = np.zeros((m, K + 1), dtype=complex)
     a[:, 1] = 1.0
-    if K >= 2:
-        a[:, 2] = zhat / 2.0
+    a[:, 2] = zhat / 2.0
     for k in range(2, K):
         # t^{k+2} coefficient balance gives a_{i,k+1}
         lin = 0.5 * (zhat_ij @ a[:, k])
@@ -701,12 +699,10 @@ class GermConstraintReport:
         return 1.0 + max(abs(v) for v in (self.k4_lhs, self.k4_rhs))
 
 
-def germ_constraints(series: GermSeries, K: int | None = None) -> GermConstraintReport:
-    m, kmax = series.coeffs.shape
-    kmax -= 1
-    K = kmax if K is None else min(K, kmax)
+def germ_constraints(series: GermSeries) -> GermConstraintReport:
+    m, width = series.coeffs.shape
     signs = np.array([(-1.0) ** (i + 1) for i in range(m)])
-    values = [complex(signs @ series.coeffs[:, k]) for k in range(1, K + 1)]
+    values = [complex(signs @ series.coeffs[:, k]) for k in range(1, width)]
     lhs = complex(signs @ (series.zhat**3))
     rhs = complex(3.0 * (signs @ (series.zhat * series.wp_row)))
     return GermConstraintReport(values=values, k4_lhs=lhs, k4_rhs=rhs)

@@ -250,3 +250,44 @@ def test_nonfinite_coordinates_are_usage_errors(argv, flag, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err and "must be finite" in err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["hecke", "--r", "0.75", "--s", "0.25"], "--tau", "-0.3+1.1i"),
+    (["hecke", "--tau", "0.22+1.31i", "--r", "0.75"], "--s", "-1e-3"),
+    (["lame-curve", "--tau", "0.22+1.31i", "--n", "2"], "--B", "-1.5+0.3i"),
+    (["premodular", "--tau", "0.22+1.31i", "--n", "2"], "--sigma", "-0.3,0.4"),
+], ids=["tau", "s-exponent", "B", "sigma"])
+def test_negative_value_after_flag(argv, flag, value, capsys):
+    assert main(argv + [flag, value]) == EXIT_OK
+    spaced = capsys.readouterr().out
+    assert main(argv + [f"{flag}={value}"]) == EXIT_OK
+    assert spaced == capsys.readouterr().out
+
+
+def test_unknown_flag_is_still_a_usage_error():
+    argv = ["hecke", "--tau", "0.22+1.31i", "--r", "0.75", "--s", "0.25"]
+    assert main(argv + ["--bogus"]) == EXIT_USAGE
+    assert main(["hecke", "--tau", "--bogus", "--r", "0.75", "--s", "0.25"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, reads_seed", [
+    (["critical"], False),
+    (["hecke", "--r", "0.75", "--s", "0.25"], False),
+    (["lame-curve", "--n", "2"], False),
+    (["premodular", "--n", "2", "--sigma", "0.3,0.4"], False),
+    (["type2"], False),
+    (["monodromy", "--divisor", DIVISOR_L3, "--params", "{}"], False),
+    (["solve", "--divisor", DIVISOR_L3], True),
+    (["identities"], True),
+    (["germ", "--n", "2"], True),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_seed_only_where_it_is_read(argv, reads_seed):
+    from lamelab.cli import build_parser
+
+    argv = argv[:1] + ["--tau", "0.22+1.31i"] + argv[1:]
+    assert build_parser().parse_args(argv).func   # parses without --seed
+    if reads_seed:
+        assert build_parser().parse_args(argv + ["--seed", "3"]).seed == 3
+    else:
+        assert main(argv + ["--seed", "3"]) == EXIT_USAGE
